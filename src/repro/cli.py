@@ -139,11 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard the workload across N independent MemorySystem "
              "instances on one event queue (multi-GPU smoke scenario)",
     )
-    run_p.add_argument(
-        "--backend", default="object", choices=("object", "array"),
-        help="data-structure backend; 'array' is the fast path and is "
-             "byte-identical to 'object' (see README \"Benchmarking\")",
-    )
     run_p.add_argument("--json", action="store_true",
                        help="emit the stats summary as JSON")
     run_p.add_argument(
@@ -296,31 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON file caching per-file call-graph summaries (keyed by "
              "source content hash); warm runs skip re-extraction of "
              "unchanged files.  Only meaningful with --deep",
-    )
-
-    bench_p = sub.add_parser(
-        "bench",
-        help="engine throughput benchmark (object vs array backend) + ratchet",
-    )
-    bench_p.add_argument("--quick", action="store_true",
-                         help="smaller workloads / fewer rounds (CI mode)")
-    bench_p.add_argument("--json", action="store_true",
-                         help="emit the bench document as JSON on stdout")
-    bench_p.add_argument(
-        "--baseline", default="BENCH_baseline.json",
-        help="baseline file to ratchet against (default: BENCH_baseline.json)",
-    )
-    bench_p.add_argument(
-        "--tolerance", type=float, default=None,
-        help="relative speedup-regression band (default: 0.15)",
-    )
-    bench_p.add_argument(
-        "--min-speedup", type=float, default=None,
-        help="absolute floor for the headline case speedup (default: 2.0)",
-    )
-    bench_p.add_argument(
-        "--update-baseline", action="store_true",
-        help="write this run to the baseline file after a passing ratchet",
     )
 
     shoot_p = sub.add_parser(
@@ -479,15 +449,10 @@ def _cmd_list() -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from .config import SimConfig
-
     rate = None if args.rate >= 1.0 else args.rate
-    config = (SimConfig(backend=args.backend)
-              if args.backend != "object" else None)
     result = run_one(
         RunSpec(args.app, args.setup, rate, scale=args.scale, seed=args.seed,
                 instances=args.instances),
-        config=config,
     )
     if args.json:
         payload = {
@@ -505,7 +470,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         base = run_one(
             RunSpec(args.app, args.baseline, rate, scale=args.scale,
                     seed=args.seed),
-            config=config,
         )
         print(f"speedup over {args.baseline}: "
               f"{result.speedup_over(base):.2f}x")
@@ -824,49 +788,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .harness import bench
-
-    tolerance = bench.DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
-    min_speedup = (
-        bench.DEFAULT_MIN_SPEEDUP if args.min_speedup is None else args.min_speedup
-    )
-    print("running engine benchmark (both backends)...", file=sys.stderr)
-    current = bench.run_bench(quick=args.quick)
-    baseline = bench.load_baseline(args.baseline)
-    report = bench.compare_to_baseline(
-        current, baseline, tolerance=tolerance, min_speedup=min_speedup
-    )
-    if args.json:
-        print(json.dumps(current, indent=2, sort_keys=True))
-    else:
-        rows = []
-        for name, case in current["cases"].items():
-            unit = case["unit"]
-            rows.append([
-                name,
-                case["accesses"],
-                case["far_faults"],
-                f"{case['object'][f'us_per_{unit}']:.2f}",
-                f"{case['array'][f'us_per_{unit}']:.2f}",
-                f"{case['speedup']:.2f}x",
-                "yes" if case["identical"] else "NO",
-            ])
-        print(render_table(
-            ["case", "accesses", "faults", "object us/ev", "array us/ev",
-             "speedup", "identical"],
-            rows,
-            title="engine throughput: object vs array backend",
-        ))
-    print(report.render(), file=sys.stderr)
-    if report.ok and args.update_baseline:
-        with open(args.baseline, "w", encoding="utf-8") as handle:
-            json.dump(current, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"baseline written to {args.baseline}", file=sys.stderr)
-    return 0 if report.ok else 1
-
-
 def _cmd_shootout(args: argparse.Namespace) -> int:
     from .harness.faults import FaultTolerance
     from .harness.parallel import stderr_progress
@@ -1118,8 +1039,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_regen(args)
     if args.command == "lint":
         return _cmd_lint(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "shootout":
         return _cmd_shootout(args)
     if args.command == "components":

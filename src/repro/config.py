@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Any, Optional
+from typing import Any, ClassVar, Optional
 
 from .errors import ConfigError
 from .units import (
@@ -271,21 +271,11 @@ class SimConfig:
     hpe: HPEConfig = field(default_factory=HPEConfig)
     pattern_buffer: PatternBufferConfig = field(default_factory=PatternBufferConfig)
     seed: int = 0
-    #: Simulation data-structure backend.  ``"object"`` is the reference
-    #: implementation (per-page dicts, linked ChunkEntry objects);
-    #: ``"array"`` is the flat-array fast path (``repro.memsim.array_backend``),
-    #: proven byte-identical by ``tests/test_backend_differential.py``.
-    #: Because both backends produce identical results, ``backend`` is
-    #: deliberately excluded from the cache fingerprints
-    #: (:func:`repro.harness.cache.config_fingerprint`) so they share
-    #: cached entries.
-    backend: str = "object"
-
-    def __post_init__(self) -> None:
-        if self.backend not in ("object", "array"):
-            raise ConfigError(
-                f"backend must be 'object' or 'array', got {self.backend!r}"
-            )
+    #: The memory system's data-structure representation.  Not a field:
+    #: there is one representation (flat lists; see DESIGN.md §10), and
+    #: the constant stays readable for tools that record it next to their
+    #: measurements.
+    backend: ClassVar[str] = "array"
 
     def with_(self, **kwargs: Any) -> "SimConfig":
         """Return a copy with the given top-level fields replaced."""

@@ -16,7 +16,7 @@ precomputes everything the REPRO5xx/6xx rules consume:
 * the **fingerprint closure** — functions reachable from any fingerprint
   function (``spec_fingerprint``/``config_fingerprint`` and helpers such as
   ``_config_payload``), which is where hash *elisions* (``del
-  payload["backend"]``) are collected from;
+  payload[...]`` / ``pop``) are collected from;
 * the hashed dataclasses (the classes fingerprint functions annotate),
   their declared fields, and every config/spec attribute read recorded in
   the simulation closure;

@@ -1,11 +1,12 @@
 """Hot-path rules: keep per-page Python loops out of ``repro.memsim``.
 
-The array backend exists because per-page Python data-structure traffic
-(set/dict membership probed once per page inside an index loop) was the
-simulator's dominant cost.  This module adds a lint family (``REPRO107``)
-that keeps the pattern from creeping back into the mechanism layer: page
-bookkeeping iterated per index belongs in flat arrays / bit masks
-(``repro.memsim.array_backend``), not in Python container probes.
+The memory system keeps its page and chunk state in flat lists and bit
+masks because per-page Python data-structure traffic (set/dict membership
+probed once per page inside an index loop) was the simulator's dominant
+cost.  This module adds a lint family (``REPRO107``) that keeps the pattern
+from creeping back into the mechanism layer: page bookkeeping iterated per
+index belongs in flat lists / bit masks (``repro.memsim.page_table``,
+``repro.memsim.chunk_chain``), not in Python container probes.
 
 The rule is deliberately scoped to ``repro.memsim`` — harness, analysis
 and devtools code may loop however it likes.
@@ -41,16 +42,17 @@ class PerPageMembershipLoopRule(FileRule):
     rationale = (
         "a `for i in range(...)` loop that probes `x in container` (or "
         "`not in`) per iteration is the per-page Python bookkeeping pattern "
-        "the array backend was built to eliminate: each probe hashes a "
-        "boxed int against a set/dict, and at pages-per-chunk x chunks x "
-        "faults scale those probes dominate the simulator's wall time.  "
-        "Inside repro.memsim, per-index page state belongs in flat arrays "
-        "or bit masks (repro.memsim.array_backend) where the whole loop "
-        "collapses to a vectorised operation or an O(1) mask test."
+        "the flat-list memory system was built to eliminate: each probe "
+        "hashes a boxed int against a set/dict, and at pages-per-chunk x "
+        "chunks x faults scale those probes dominate the simulator's wall "
+        "time.  Inside repro.memsim, per-index page state belongs in flat "
+        "lists or bit masks (repro.memsim.page_table, "
+        "repro.memsim.chunk_chain) where the whole loop collapses to an "
+        "O(1) index or mask test."
     )
     fix_hint = (
-        "replace the per-index membership probe with a flat-array / "
-        "bit-mask lookup (see repro.memsim.array_backend), or hoist the "
+        "replace the per-index membership probe with a flat-list / "
+        "bit-mask lookup (see repro.memsim.page_table), or hoist the "
         "probe out of the loop"
     )
 

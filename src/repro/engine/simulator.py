@@ -20,7 +20,6 @@ from typing import Optional
 
 from ..config import SimConfig
 from ..errors import SimulationError, ThrashingCrash
-from ..memsim.array_backend import ArrayPageTable
 from ..memsim.page_table import PageTable
 from ..memsim.system import MemorySystem
 from ..obs import DISABLED, Observability
@@ -41,17 +40,14 @@ DEFAULT_MAX_EVENTS = 100_000_000
 
 
 def build_page_table(config: SimConfig, workload: Workload) -> PageTable:
-    """Page table for ``workload`` under ``config.backend``.
+    """Page table for ``workload``.
 
-    The array backend pre-sizes its flat frame ledger to the workload's
-    rebased VPN range so the simulation itself never grows the arrays (the
-    ``_ensure`` growth path exists for robustness, not the steady state).
+    Pre-sized to the workload's rebased VPN range so the simulation itself
+    never grows the lists (the growth path exists for robustness, not the
+    steady state).
     """
-    levels = config.translation.walker.levels
-    if config.backend != "array":
-        return PageTable(levels)
-    return ArrayPageTable(
-        levels,
+    return PageTable(
+        config.translation.walker.levels,
         origin_hint=workload.base_vpn,
         size_hint=workload.footprint_pages + 1,
     )

@@ -31,6 +31,7 @@ from ..engine.stats import SimStats
 from ..errors import SimulationError
 from ..memsim.fault import FarFault
 from ..memsim.gmmu import GMMU
+from ..memsim.system import MemorySystem
 from ..translation.hierarchy import TranslationHierarchy
 
 __all__ = ["StreamingMultiprocessor"]
@@ -67,15 +68,16 @@ class StreamingMultiprocessor:
         self._outstanding = 0
         self._finished = False
         self._run_event: Optional[Event] = None
-        # Fused burst loop: eligible when the memory system runs the array
-        # backend (gmmu._fast) and the full translation path is modelled —
-        # then TLB probes, the page touch and the policy recency update can
-        # be inlined over the flat arrays.  The legacy/object path is the
-        # oracle; tests/test_backend_differential.py proves byte-identity.
+        # Fused burst loop: eligible when the full translation path is
+        # modelled and the memory system is a MemorySystem — then TLB
+        # probes, the page touch and the policy recency update are inlined
+        # over its flat lists.  Otherwise (translation disabled, or another
+        # memory model such as the reference monolith the differential
+        # tests run) the generic `_run` talks to both through their methods.
         self._fast = (
             translation is not None
             and translation.config.enabled
-            and getattr(gmmu, "_fast", False)
+            and isinstance(gmmu, MemorySystem)
         )
         #: Lazily built attribute-hoist tuple for :meth:`_run_fast`;
         #: invalidated by identity check against the live page table.
@@ -121,9 +123,6 @@ class StreamingMultiprocessor:
     # --- execution ---------------------------------------------------------------
 
     def _run(self, time: int) -> None:
-        if self._fast:
-            self._run_fast(time)
-            return
         self._run_event = None
         sm_cfg = self.config.sm
         trace = self.trace
@@ -178,9 +177,9 @@ class StreamingMultiprocessor:
         """Build (and cache) the attribute-hoist tuple for `_run_fast`.
 
         Everything captured here is identity-stable for the lifetime of a
-        run: the TLB/walker/PWC objects are never replaced, and the array
-        backend grows its lists strictly in place (``extend`` /
-        ``lst[:0] =``), so the list objects survive rebasing.  Origins and
+        run: the TLB/walker/PWC objects are never replaced, and the page
+        table and chunk chain grow their lists strictly in place (``extend``
+        / ``lst[:0] =``), so the list objects survive rebasing.  Origins and
         lengths are *not* captured — they change on growth and are re-read
         every burst.
         """
@@ -230,7 +229,7 @@ class StreamingMultiprocessor:
         return hoisted
 
     def _run_fast(self, time: int) -> None:
-        """Array-backend burst: one trace slice, everything inlined.
+        """Fused burst: one trace slice, everything inlined.
 
         Byte-identical to :meth:`_run` by construction — same per-access
         latency arithmetic, same event scheduling, same counters.  Local
@@ -401,7 +400,7 @@ class StreamingMultiprocessor:
                 cid = vpn // ppc
                 li = cid - c_origin
                 tch[li] |= 1 << (vpn - cid * ppc)
-                # Recency dispatch with ArrayChunkChain.move_to_tail inlined
+                # Recency dispatch with ChunkChain.move_to_tail inlined
                 # (the touched chunk is in the chain by invariant — resident
                 # pages always have a chain entry — so no membership check).
                 if kind == "lru":
@@ -550,7 +549,7 @@ class StreamingMultiprocessor:
     def _make_resolver_fast(
         self, vpn: int, is_write: bool
     ) -> Callable[[int], None]:
-        """Resolver with the TLB fills inlined (array backend only).
+        """Resolver with the TLB fills inlined (fused path only).
 
         Identical to the generic resolver: ``TranslationHierarchy.fill`` is
         two ``TLB.insert`` calls, reproduced on the hoisted set dicts.

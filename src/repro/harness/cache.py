@@ -89,15 +89,6 @@ class FingerprintElision:
 #: documents an entire object that never reaches the cache key.
 FINGERPRINT_ELISIONS: Tuple[FingerprintElision, ...] = (
     FingerprintElision(
-        dataclass_name="SimConfig",
-        field="backend",
-        reason=(
-            "backend selects between implementations proven byte-identical "
-            "(tests/test_backend_differential.py); both must share cache "
-            "entries, and the key space predates the field"
-        ),
-    ),
-    FingerprintElision(
         dataclass_name="RunSpec",
         field="instances",
         reason=(
@@ -124,17 +115,9 @@ def _canonical_json(payload: object) -> str:
 
 
 def _config_payload(config: SimConfig) -> Dict[str, object]:
-    """Hashable view of a config: ``asdict`` minus result-neutral fields.
-
-    ``backend`` selects between two implementations that are proven
-    byte-identical (``tests/test_backend_differential.py``), so it must not
-    enter the hash: both backends share cache entries, and the key space
-    predates the field.  Everything else reaches the hash by whole-object
-    construction (REPRO201).
-    """
-    payload = dataclasses.asdict(config)
-    del payload["backend"]
-    return payload
+    """Hashable view of a config: every field reaches the hash by
+    whole-object construction (REPRO201)."""
+    return dataclasses.asdict(config)
 
 
 def config_fingerprint(config: Optional[SimConfig]) -> str:

@@ -12,6 +12,17 @@ Partitions (relative to the current interval ``cur``):
 * **new**    — last referenced in interval ``cur``;
 * **middle** — last referenced in interval ``cur - 1``;
 * **old**    — everything older.  Eviction candidates come from here.
+
+Representation: parallel per-chunk lists indexed by ``chunk_id - origin``
+(masks, counters, intervals, and the intrusive prev/next links stored as
+*absolute* chunk ids, ``-1`` = end).  The origin is anchored at the first
+chunk id the chain stores, because workloads place their footprint at a
+high base VPN (``Workload.base_vpn``) and an origin of 0 would allocate the
+whole gap below it.  The lists grow in place at either end (``extend``
+high, ``lst[:0] = ...`` low) so the fused hot loops in
+:mod:`repro.memsim.system` and :mod:`repro.engine.sm` may hoist them.
+Policies see :class:`ChunkHandle` views, which keep the object-shaped
+:class:`ChunkEntry` interface over one slot.
 """
 
 from __future__ import annotations
@@ -20,11 +31,20 @@ from typing import Iterator, List, Optional
 
 from ..errors import SimulationError
 
-__all__ = ["ChunkEntry", "ChunkChain"]
+__all__ = ["ChunkEntry", "ChunkHandle", "ChunkChain"]
+
+#: Slack added when the slot lists must grow, so growth is amortised
+#: instead of per-chunk.
+_PAD_CHUNKS = 512
 
 
 class ChunkEntry:
-    """Metadata for one resident (or partially resident) chunk."""
+    """Metadata for one resident (or partially resident) chunk.
+
+    A plain object: the snapshot the eviction service hands to the policy,
+    and an entry built outside the chain (the chain copies its fields in on
+    insert).  Entries stored in the chain are :class:`ChunkHandle` views.
+    """
 
     __slots__ = (
         "chunk_id",
@@ -35,9 +55,6 @@ class ChunkEntry:
         "last_ref_interval",
         "insert_interval",
         "insert_order",
-        "prev",
-        "next",
-        "in_chain",
     )
 
     def __init__(
@@ -51,9 +68,6 @@ class ChunkEntry:
         self.last_ref_interval = interval
         self.insert_interval = interval
         self.insert_order = insert_order
-        self.prev: Optional["ChunkEntry"] = None
-        self.next: Optional["ChunkEntry"] = None
-        self.in_chain = False
 
     # --- bit-vector helpers -------------------------------------------------
 
@@ -98,118 +112,308 @@ class ChunkEntry:
         )
 
 
+class ChunkHandle(ChunkEntry):
+    """Slot-backed view presenting one chain slot as a :class:`ChunkEntry`.
+
+    All metadata fields are properties over the owning chain's parallel
+    lists, so the inherited mask helpers (``mark_resident``,
+    ``untouch_level``, ``partition``, …) operate on chain state.  The
+    handle stores only its absolute chunk id (rebase-safe: the local slot
+    index is recomputed per access).
+    """
+
+    __slots__ = ("_chain",)
+
+    def __init__(self, chain: "ChunkChain", chunk_id: int) -> None:
+        # Deliberately does NOT call ChunkEntry.__init__ — that would write
+        # defaults through the properties into the (possibly live) slot.
+        self._chain = chain
+        self.chunk_id = chunk_id
+
+    @property
+    def resident_mask(self) -> int:
+        c = self._chain
+        return c._res[self.chunk_id - c._origin]
+
+    @resident_mask.setter
+    def resident_mask(self, value: int) -> None:
+        c = self._chain
+        c._res[self.chunk_id - c._origin] = value
+
+    @property
+    def touched_mask(self) -> int:
+        c = self._chain
+        return c._tch[self.chunk_id - c._origin]
+
+    @touched_mask.setter
+    def touched_mask(self, value: int) -> None:
+        c = self._chain
+        c._tch[self.chunk_id - c._origin] = value
+
+    @property
+    def prefetch_mask(self) -> int:
+        c = self._chain
+        return c._pfm[self.chunk_id - c._origin]
+
+    @prefetch_mask.setter
+    def prefetch_mask(self, value: int) -> None:
+        c = self._chain
+        c._pfm[self.chunk_id - c._origin] = value
+
+    @property
+    def counter(self) -> int:
+        c = self._chain
+        return c._ctr[self.chunk_id - c._origin]
+
+    @counter.setter
+    def counter(self, value: int) -> None:
+        c = self._chain
+        c._ctr[self.chunk_id - c._origin] = value
+
+    @property
+    def last_ref_interval(self) -> int:
+        c = self._chain
+        return c._lref[self.chunk_id - c._origin]
+
+    @last_ref_interval.setter
+    def last_ref_interval(self, value: int) -> None:
+        c = self._chain
+        c._lref[self.chunk_id - c._origin] = value
+
+    @property
+    def insert_interval(self) -> int:
+        c = self._chain
+        return c._iint[self.chunk_id - c._origin]
+
+    @insert_interval.setter
+    def insert_interval(self, value: int) -> None:
+        c = self._chain
+        c._iint[self.chunk_id - c._origin] = value
+
+    @property
+    def insert_order(self) -> int:
+        c = self._chain
+        return c._iord[self.chunk_id - c._origin]
+
+    @insert_order.setter
+    def insert_order(self, value: int) -> None:
+        c = self._chain
+        c._iord[self.chunk_id - c._origin] = value
+
+
 class ChunkChain:
-    """Doubly-linked recency chain of :class:`ChunkEntry` with an id index."""
+    """The recency chain as parallel per-chunk lists with intrusive links."""
 
     def __init__(self) -> None:
-        # Sentinels: _head.next is the LRU-most real entry.
-        self._head = ChunkEntry(-1, 0)
-        self._tail = ChunkEntry(-2, 0)
-        self._head.next = self._tail
-        self._tail.prev = self._head
-        self._index: dict[int, ChunkEntry] = {}
+        n = _PAD_CHUNKS
+        self._anchored = False
+        self._origin = 0
+        self._res: List[int] = [0] * n
+        self._tch: List[int] = [0] * n
+        self._pfm: List[int] = [0] * n
+        self._ctr: List[int] = [0] * n
+        self._lref: List[int] = [0] * n
+        self._iint: List[int] = [0] * n
+        self._iord: List[int] = [0] * n
+        self._prv: List[int] = [-1] * n
+        self._nxt: List[int] = [-1] * n
+        self._inch = bytearray(n)
+        self._handles: List[Optional[ChunkHandle]] = [None] * n
+        self._first = -1  # absolute chunk id of the LRU-most entry
+        self._last = -1  # absolute chunk id of the MRU-most entry
+        self._count = 0
         self._insert_seq = 0
         self.length_peak = 0
 
+    # --- slot management --------------------------------------------------
+
+    def _ensure(self, chunk_id: int) -> int:
+        """Local slot index for ``chunk_id``, growing the lists in place."""
+        if not self._anchored:
+            self._anchored = True
+            self._origin = chunk_id - chunk_id % _PAD_CHUNKS
+        li = chunk_id - self._origin
+        if li < 0:
+            pad = max(-li, _PAD_CHUNKS)
+            for lst in (
+                self._res, self._tch, self._pfm, self._ctr,
+                self._lref, self._iint, self._iord,
+            ):
+                lst[:0] = [0] * pad
+            self._prv[:0] = [-1] * pad
+            self._nxt[:0] = [-1] * pad
+            self._handles[:0] = [None] * pad
+            self._inch[:0] = bytes(pad)
+            self._origin -= pad
+            return chunk_id - self._origin
+        n = len(self._inch)
+        if li >= n:
+            pad = li - n + 1 + _PAD_CHUNKS
+            for lst in (
+                self._res, self._tch, self._pfm, self._ctr,
+                self._lref, self._iint, self._iord,
+            ):
+                lst.extend([0] * pad)
+            self._prv.extend([-1] * pad)
+            self._nxt.extend([-1] * pad)
+            self._handles.extend([None] * pad)
+            self._inch.extend(bytes(pad))
+        return li
+
+    def _handle(self, li: int) -> ChunkHandle:
+        handle = self._handles[li]
+        if handle is None:
+            handle = ChunkHandle(self, li + self._origin)
+            self._handles[li] = handle
+        return handle
+
+    # --- queries ----------------------------------------------------------
+
     def __len__(self) -> int:
-        return len(self._index)
+        return self._count
 
     def __contains__(self, chunk_id: int) -> bool:
-        return chunk_id in self._index
+        li = chunk_id - self._origin
+        return 0 <= li < len(self._inch) and bool(self._inch[li])
 
     def get(self, chunk_id: int) -> Optional[ChunkEntry]:
-        return self._index.get(chunk_id)
+        li = chunk_id - self._origin
+        if 0 <= li < len(self._inch) and self._inch[li]:
+            return self._handle(li)
+        return None
 
-    # --- linking primitives -------------------------------------------------
-
-    def _link_before(self, node: ChunkEntry, anchor: ChunkEntry) -> None:
-        prev = anchor.prev
-        assert prev is not None
-        prev.next = node
-        node.prev = prev
-        node.next = anchor
-        anchor.prev = node
-        node.in_chain = True
-
-    def _unlink(self, node: ChunkEntry) -> None:
-        if not node.in_chain:
-            raise SimulationError(f"chunk {node.chunk_id} not in chain")
-        assert node.prev is not None and node.next is not None
-        node.prev.next = node.next
-        node.next.prev = node.prev
-        node.prev = node.next = None
-        node.in_chain = False
-
-    # --- public operations ----------------------------------------------------
+    # --- public operations ------------------------------------------------
 
     def new_entry(self, chunk_id: int, interval: int) -> ChunkEntry:
-        """Fresh (all-clear) entry for a chunk about to become resident.
+        """Reset the chunk's slot to a fresh (all-clear) entry for a chunk
+        about to become resident, and return its handle."""
+        li = self._ensure(chunk_id)
+        self._res[li] = 0
+        self._tch[li] = 0
+        self._pfm[li] = 0
+        self._ctr[li] = 0
+        self._lref[li] = interval
+        self._iint[li] = interval
+        self._iord[li] = 0
+        return self._handle(li)
 
-        A factory rather than a bare constructor call so array-backed
-        chains can hand out slot-backed handles instead of heap objects.
-        """
-        return ChunkEntry(chunk_id, interval)
+    def _adopt(self, entry: ChunkEntry) -> int:
+        """Slot index for ``entry``, copying its field values in when it is
+        a plain :class:`ChunkEntry` rather than this chain's own handle."""
+        li = self._ensure(entry.chunk_id)
+        if self._handles[li] is not entry:
+            self._res[li] = entry.resident_mask
+            self._tch[li] = entry.touched_mask
+            self._pfm[li] = entry.prefetch_mask
+            self._ctr[li] = entry.counter
+            self._lref[li] = entry.last_ref_interval
+            self._iint[li] = entry.insert_interval
+        return li
+
+    def _linked(self, li: int) -> None:
+        """Account one newly linked slot."""
+        self._inch[li] = 1
+        self._count += 1
+        if self._count > self.length_peak:
+            self.length_peak = self._count
 
     def insert_tail(self, entry: ChunkEntry) -> None:
         """Insert at the MRU position (normal arrival of a migrated chunk)."""
-        if entry.chunk_id in self._index:
+        li = self._adopt(entry)
+        if self._inch[li]:
             raise SimulationError(f"chunk {entry.chunk_id} already in chain")
-        entry.insert_order = self._insert_seq
+        self._iord[li] = self._insert_seq
         self._insert_seq += 1
-        self._link_before(entry, self._tail)
-        self._index[entry.chunk_id] = entry
-        if len(self._index) > self.length_peak:
-            self.length_peak = len(self._index)
+        chunk_id = entry.chunk_id
+        last = self._last
+        self._prv[li] = last
+        self._nxt[li] = -1
+        if last >= 0:
+            self._nxt[last - self._origin] = chunk_id
+        else:
+            self._first = chunk_id
+        self._last = chunk_id
+        self._linked(li)
 
     def insert_head(self, entry: ChunkEntry) -> None:
         """Insert at the LRU position (MHPE's wrongly-evicted re-insertion)."""
-        if entry.chunk_id in self._index:
+        li = self._adopt(entry)
+        if self._inch[li]:
             raise SimulationError(f"chunk {entry.chunk_id} already in chain")
-        entry.insert_order = self._insert_seq
+        self._iord[li] = self._insert_seq
         self._insert_seq += 1
-        anchor = self._head.next
-        assert anchor is not None
-        self._link_before(entry, anchor)
-        self._index[entry.chunk_id] = entry
-        if len(self._index) > self.length_peak:
-            self.length_peak = len(self._index)
+        chunk_id = entry.chunk_id
+        first = self._first
+        self._nxt[li] = first
+        self._prv[li] = -1
+        if first >= 0:
+            self._prv[first - self._origin] = chunk_id
+        else:
+            self._last = chunk_id
+        self._first = chunk_id
+        self._linked(li)
 
     def remove(self, chunk_id: int) -> ChunkEntry:
         """Remove and return the entry for ``chunk_id`` (eviction)."""
-        entry = self._index.pop(chunk_id, None)
-        if entry is None:
+        li = chunk_id - self._origin
+        if not (0 <= li < len(self._inch)) or not self._inch[li]:
             raise SimulationError(f"chunk {chunk_id} not in chain")
-        self._unlink(entry)
-        return entry
+        prv = self._prv[li]
+        nxt = self._nxt[li]
+        if prv >= 0:
+            self._nxt[prv - self._origin] = nxt
+        else:
+            self._first = nxt
+        if nxt >= 0:
+            self._prv[nxt - self._origin] = prv
+        else:
+            self._last = prv
+        self._prv[li] = -1
+        self._nxt[li] = -1
+        self._inch[li] = 0
+        self._count -= 1
+        return self._handle(li)
 
     def move_to_tail(self, chunk_id: int) -> None:
         """Refresh recency (LRU policies call this on touch)."""
-        entry = self._index.get(chunk_id)
-        if entry is None:
+        li = chunk_id - self._origin
+        if not (0 <= li < len(self._inch)) or not self._inch[li]:
             raise SimulationError(f"chunk {chunk_id} not in chain")
-        self._unlink(entry)
-        self._link_before(entry, self._tail)
-        self._index[chunk_id] = entry
+        if self._last == chunk_id:
+            return  # unlink + relink at tail is a no-op
+        prv = self._prv[li]
+        nxt = self._nxt[li]
+        if prv >= 0:
+            self._nxt[prv - self._origin] = nxt
+        else:
+            self._first = nxt
+        # nxt >= 0 always here: chunk_id is not the tail.
+        self._prv[nxt - self._origin] = prv
+        last = self._last
+        self._prv[li] = last
+        self._nxt[li] = -1
+        self._nxt[last - self._origin] = chunk_id
+        self._last = chunk_id
 
-    # --- iteration -----------------------------------------------------------
+    # --- iteration --------------------------------------------------------
 
     def from_head(self) -> Iterator[ChunkEntry]:
         """LRU-most first."""
-        node = self._head.next
-        while node is not self._tail:
-            assert node is not None
-            nxt = node.next
-            yield node
-            node = nxt
+        cid = self._first
+        while cid >= 0:
+            li = cid - self._origin
+            nxt = self._nxt[li]
+            yield self._handle(li)
+            cid = nxt
 
     def from_tail(self) -> Iterator[ChunkEntry]:
         """MRU-most first."""
-        node = self._tail.prev
-        while node is not self._head:
-            assert node is not None
-            prv = node.prev
-            yield node
-            node = prv
+        cid = self._last
+        while cid >= 0:
+            li = cid - self._origin
+            prv = self._prv[li]
+            yield self._handle(li)
+            cid = prv
 
     def old_partition_from_head(self, current_interval: int) -> Iterator[ChunkEntry]:
         """Old-partition entries, LRU-most first."""

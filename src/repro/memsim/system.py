@@ -43,7 +43,6 @@ from ..policies.random_policy import RandomPolicy
 from ..policies.reserved_lru import ReservedLRUPolicy
 from ..prefetch.base import PrefetchContext, Prefetcher
 from ..translation.hierarchy import TranslationHierarchy
-from .array_backend import ArrayChunkChain, ArrayCoverage, ArrayPageTable
 from .chunk_chain import ChunkChain, ChunkEntry
 from .device_memory import DeviceMemory
 from .fault import FarFault, InFlightMigration
@@ -51,6 +50,7 @@ from .page_table import PageTable
 from .pcie import PCIeLink
 
 __all__ = [
+    "CoverageMap",
     "FrameLedger",
     "IntervalClock",
     "FaultFrontend",
@@ -61,8 +61,12 @@ __all__ = [
 ]
 
 
+#: Slack added when the coverage map must grow (see :class:`CoverageMap`).
+_PAD_PAGES = 4096
+
+
 def policy_touch_kind(policy: EvictionPolicy) -> Optional[str]:
-    """Classify a policy's ``on_page_touched`` for the array fast path.
+    """Classify a policy's ``on_page_touched`` for the fused touch paths.
 
     Exact ``type()`` matches only: a subclass may override the hook, so it
     falls through to ``None`` (= call the hook dynamically).  The returned
@@ -201,13 +205,90 @@ class IntervalClock:
             self._interval_evictions = 0
 
 
+class CoverageMap:
+    """The frontend's ``vpn -> InFlightMigration`` map as a flat slot list.
+
+    Indexed by ``vpn - origin``; the origin is anchored on first use,
+    because traces are rebased to a high base VPN (``Workload.base_vpn``)
+    and anchoring at 0 would allocate the whole gap below it.  Offers the
+    handful of dict operations the frontend and the scheduler use.
+    """
+
+    __slots__ = ("_slots", "_origin", "_empty", "_count")
+
+    def __init__(self) -> None:
+        self._slots: List[Optional[InFlightMigration]] = [None] * _PAD_PAGES
+        self._origin = 0
+        self._empty = True
+        self._count = 0
+
+    def _ensure(self, vpn: int) -> int:
+        if self._empty:
+            self._origin = vpn - vpn % _PAD_PAGES
+            self._empty = False
+        idx = vpn - self._origin
+        if idx < 0:
+            pad = max(-idx, _PAD_PAGES)
+            self._slots[:0] = [None] * pad
+            self._origin -= pad
+            return vpn - self._origin
+        n = len(self._slots)
+        if idx >= n:
+            self._slots.extend([None] * (idx - n + 1 + _PAD_PAGES))
+        return idx
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __contains__(self, vpn: int) -> bool:
+        idx = vpn - self._origin
+        return 0 <= idx < len(self._slots) and self._slots[idx] is not None
+
+    def __getitem__(self, vpn: int) -> InFlightMigration:
+        idx = vpn - self._origin
+        if 0 <= idx < len(self._slots):
+            mig = self._slots[idx]
+            if mig is not None:
+                return mig
+        raise KeyError(vpn)
+
+    def __setitem__(self, vpn: int, mig: InFlightMigration) -> None:
+        idx = self._ensure(vpn)
+        if self._slots[idx] is None:
+            self._count += 1
+        self._slots[idx] = mig
+
+    def get(
+        self, vpn: int, default: Optional[InFlightMigration] = None
+    ) -> Optional[InFlightMigration]:
+        idx = vpn - self._origin
+        if 0 <= idx < len(self._slots):
+            mig = self._slots[idx]
+            if mig is not None:
+                return mig
+        return default
+
+    def pop(
+        self, vpn: int, default: Optional[InFlightMigration] = None
+    ) -> Optional[InFlightMigration]:
+        idx = vpn - self._origin
+        if 0 <= idx < len(self._slots):
+            mig = self._slots[idx]
+            if mig is not None:
+                self._slots[idx] = None
+                self._count -= 1
+                return mig
+        return default
+
+
 class FaultFrontend:
-    """Stage: far-fault intake and duplicate merging.
+    """Stage: far-fault bookkeeping and duplicate merging.
 
     Owns the pending-fault queue and the coverage map (vpn → in-flight
     migration).  A fault whose page is already on its way merges into that
     migration (the replayable far-fault hardware of [9]); everything else
-    queues for the scheduler.
+    queues for the scheduler.  Intake itself is fused into
+    :meth:`MemorySystem.handle_fault`.
     """
 
     def __init__(
@@ -225,7 +306,7 @@ class FaultFrontend:
         self._trace = obs.tracer
         self.pending: Deque[FarFault] = deque()
         #: vpn -> the in-flight migration that will install it.
-        self.covered: Dict[int, InFlightMigration] = {}
+        self.covered = CoverageMap()
         metrics = obs.metrics
         self._m_faults = metrics.counter("gmmu.far_faults")
         self._m_merged = metrics.counter("gmmu.merged_faults")
@@ -248,28 +329,6 @@ class FaultFrontend:
         """Attach ``fault`` to an in-flight migration that covers its page."""
         mig.attach(fault)
         self.note_merged()
-
-    def intake(self, fault: FarFault) -> bool:
-        """Accept one far fault; returns True when it was queued (i.e. the
-        scheduler should pump) and False when it merged in flight."""
-        self.stats.far_faults += 1
-        self.clock.note_fault()
-        self._m_faults.inc()
-        ppc = self.uvm.pages_per_chunk
-        self.policy.on_fault(fault.vpn, fault.vpn // ppc, fault.time)
-        if self._trace.enabled:
-            self._trace.emit(
-                "fault", fault.time, chunk=fault.vpn // ppc,
-                **fault.trace_args(),
-            )
-
-        covering = self.covered.get(fault.vpn)
-        if covering is not None:
-            # The page is already on its way: merge.
-            self.merge(fault, covering)
-            return False
-        self.pending.append(fault)
-        return True
 
 
 class EvictionService:
@@ -312,9 +371,6 @@ class EvictionService:
         self._memory_full_seen = False
         self._footprint_pages = footprint_pages
         self._m_evictions = obs.metrics.counter("gmmu.chunks_evicted")
-        #: Maintained by MemorySystem (chain and page table must both be
-        #: array-backed before the fused eviction path is safe).
-        self._use_array = False
 
     def ensure_capacity(self, frames_needed: int, time: int) -> int:
         """Evict chunks until ``frames_needed`` frames are free.
@@ -343,72 +399,11 @@ class EvictionService:
         return len(victims)
 
     def evict_chunk(self, entry: ChunkEntry, time: int) -> None:
-        """Unmap every resident page of ``entry`` and retire its metadata."""
-        if self._use_array:
-            self._evict_chunk_array(entry, time)
-            return
-        ppc = self.uvm.pages_per_chunk
-        base = entry.chunk_id * ppc
-        dirty_pages = 0
-        evicted_pages = 0
-        for i in range(ppc):
-            if not entry.is_resident(i):
-                continue
-            vpn = base + i
-            frame, accessed, dirty = self.page_table.unmap(vpn)
-            self.device.free(frame)
-            if self.translation is not None:
-                self.translation.shootdown(vpn)
-            if dirty:
-                dirty_pages += 1
-            evicted_pages += 1
-            entry.clear_resident(i)
-        # Residency cleared above, so untouch accounting reads the masks as
-        # they stood at unmap time via the snapshot below.
-        self.chain.remove(entry.chunk_id)
-        self.stats.chunks_evicted += 1
-        self.stats.pages_evicted += evicted_pages
-        self.stats.dirty_pages_written_back += dirty_pages
-        self.clock.note_eviction()
-        self._m_evictions.inc()
-        if dirty_pages:
-            # Writebacks ride the duplex link: bytes counted, latency not on
-            # the fault-service critical path (see DESIGN.md).
-            self.pcie.transfer_to_host(dirty_pages, time=time)
-            self.stats.bytes_device_to_host = self.pcie.bytes_to_host
-        # Prefetch accuracy accounting.
-        touched_prefetched = bin(entry.prefetch_mask & entry.touched_mask).count("1")
-        self.stats.prefetched_pages_touched += touched_prefetched
+        """Unmap every resident page of ``entry`` and retire its metadata.
 
-        # Untouch level must reflect what was migrated, so give the policy a
-        # snapshot with residency restored.  Every migrated page is either a
-        # prefetched page (prefetch_mask) or a demand page, and demand pages
-        # are touched on fault replay before any later eviction can run, so
-        # touched|prefetch is exactly the pre-eviction residency.
-        snapshot = ChunkEntry(entry.chunk_id, entry.insert_interval)
-        snapshot.resident_mask = entry.touched_mask | entry.prefetch_mask
-        snapshot.touched_mask = entry.touched_mask
-        snapshot.prefetch_mask = entry.prefetch_mask
-        snapshot.counter = entry.counter
-        if self._trace.enabled:
-            self._trace.emit(
-                "eviction", time, chunk=entry.chunk_id, pages=evicted_pages,
-                dirty=dirty_pages, untouch=snapshot.untouch_level(),
-                strategy=self.policy.current_strategy,
-            )
-        self.policy.on_chunk_evicted(snapshot, time)
-        self.prefetcher.on_chunk_evicted(
-            entry.chunk_id,
-            entry.touched_mask,
-            snapshot.untouch_level(),
-            self.policy.current_strategy,
-            time=time,
-        )
-        self._check_crash_budget()
-
-    def _evict_chunk_array(self, entry: ChunkEntry, time: int) -> None:
-        """Array-backend eviction: raw mask iteration over flat arrays with
-        the TLB shootdown inlined (byte-identical to the object path)."""
+        Walks the resident mask over the flat page-table lists, with the
+        device free and the TLB shootdown inlined.
+        """
         ppc = self.uvm.pages_per_chunk
         chain = self.chain
         cid = entry.chunk_id
@@ -425,7 +420,8 @@ class EvictionService:
         p_origin = pt._origin
         frames = pt._frames
         drt = pt._dirty
-        free_append = self.device._free.append
+        device = self.device
+        free_append = device._free.append
         translation = self.translation
         if translation is not None:
             l1_sets_all = [t._sets for t in translation.l1_tlbs]
@@ -437,7 +433,7 @@ class EvictionService:
         dirty_pages = 0
         evicted_pages = 0
         m = res_mask
-        while m:  # ascending page order, like the object path's range loop
+        while m:  # ascending page order
             low = m & -m
             m ^= low
             vpn = base + low.bit_length() - 1
@@ -465,19 +461,33 @@ class EvictionService:
                     shootdowns += 1
         chain._res[li] = 0
         pt._resident -= evicted_pages
-        self.device._allocated -= evicted_pages
+        device._allocated -= evicted_pages
+        if device._allocated < 0:
+            raise CapacityError(
+                f"double free: evicting chunk {cid} returned {evicted_pages} "
+                "frames the allocator had not handed out"
+            )
         if shootdowns:
             self.stats.tlb_shootdowns += shootdowns
-        self.chain.remove(cid)
+        chain.remove(cid)
         self.stats.chunks_evicted += 1
         self.stats.pages_evicted += evicted_pages
         self.stats.dirty_pages_written_back += dirty_pages
         self.clock.note_eviction()
         self._m_evictions.inc()
         if dirty_pages:
+            # Writebacks ride the duplex link: bytes counted, latency not on
+            # the fault-service critical path (see DESIGN.md).
             self.pcie.transfer_to_host(dirty_pages, time=time)
             self.stats.bytes_device_to_host = self.pcie.bytes_to_host
+        # Prefetch accuracy accounting.
         self.stats.prefetched_pages_touched += bin(pfm_mask & tch_mask).count("1")
+
+        # Untouch level must reflect what was migrated, so give the policy a
+        # snapshot with residency restored.  Every migrated page is either a
+        # prefetched page (prefetch_mask) or a demand page, and demand pages
+        # are touched on fault replay before any later eviction can run, so
+        # touched|prefetch is exactly the pre-eviction residency.
         snapshot = ChunkEntry(cid, insert_interval)
         snapshot.resident_mask = tch_mask | pfm_mask
         snapshot.touched_mask = tch_mask
@@ -554,8 +564,6 @@ class MigrationScheduler:
         self._next_migration_token = 0
         self._active_services = 0
         self._h_batch = obs.metrics.histogram("gmmu.batch_pages")
-        #: Maintained by MemorySystem (see EvictionService._use_array).
-        self._use_array = False
 
     # ------------------------------------------------------- service loop
 
@@ -590,31 +598,26 @@ class MigrationScheduler:
         """
         if self.frontend.covering(fault.vpn) is not None or fault.vpn in in_batch:
             return None
+        # Raw-list skip predicate: prefetchers probe it once per candidate
+        # page, so method indirections add up.
         covered = self.frontend.covered
-        if self._use_array:
-            # Raw-array skip predicate: prefetchers probe it once per
-            # candidate page, so the dict/method indirections add up.
-            pt = self.page_table
-            frames = pt._frames
-            p_origin = pt._origin
-            nf = len(frames)
-            slots = covered._slots
-            c_origin = covered._origin
-            ns = len(slots)
+        pt = self.page_table
+        frames = pt._frames
+        p_origin = pt._origin
+        nf = len(frames)
+        slots = covered._slots
+        c_origin = covered._origin
+        ns = len(slots)
 
-            def skip(vpn: int) -> bool:
-                i = vpn - p_origin
-                if 0 <= i < nf and frames[i] >= 0:
-                    return True
-                j = vpn - c_origin
-                if 0 <= j < ns and slots[j] is not None:
-                    return True
-                return vpn in in_batch
-        else:
-            resident = self.page_table.is_resident
-            skip = (
-                lambda vpn: resident(vpn) or vpn in covered or vpn in in_batch
-            )
+        def skip(vpn: int) -> bool:
+            i = vpn - p_origin
+            if 0 <= i < nf and frames[i] >= 0:
+                return True
+            j = vpn - c_origin
+            if 0 <= j < ns and slots[j] is not None:
+                return True
+            return vpn in in_batch
+
         pages = self.prefetcher.pages_to_migrate(
             fault.vpn, self.ledger.memory_full, skip, time=fault.time
         )
@@ -638,29 +641,20 @@ class MigrationScheduler:
         (UVM batch processing; the paper's configuration services one fault
         group per op).
         """
-        if self._use_array:
-            # Flattened resident/covered checks: most queued faults resolve
-            # or merge right here once their chunk's migration lands.
-            pt = self.page_table
-            frames = pt._frames
-            idx = fault.vpn - pt._origin
-            if 0 <= idx < len(frames) and frames[idx] >= 0:
-                fault.on_resolve(time)
-                return False
-            covering = self.frontend.covered.get(fault.vpn)
-            if covering is not None:
-                covering.attach(fault)
-                self.stats.merged_faults += 1
-                self.frontend._m_merged.value += 1
-                return False
-        else:
-            if self.page_table.is_resident(fault.vpn):
-                fault.on_resolve(time)
-                return False
-            covering = self.frontend.covering(fault.vpn)
-            if covering is not None:
-                self.frontend.merge(fault, covering)
-                return False
+        # Flattened resident/covered checks: most queued faults resolve or
+        # merge right here once their chunk's migration lands.
+        pt = self.page_table
+        frames = pt._frames
+        idx = fault.vpn - pt._origin
+        if 0 <= idx < len(frames) and frames[idx] >= 0:
+            fault.on_resolve(time)
+            return False
+        covering = self.frontend.covered.get(fault.vpn)
+        if covering is not None:
+            covering.attach(fault)
+            self.stats.merged_faults += 1
+            self.frontend._m_merged.value += 1
+            return False
 
         in_batch: Set[int] = set()
         pages = self._gather_pages(fault, in_batch)
@@ -732,41 +726,7 @@ class MigrationScheduler:
     # ----------------------------------------------------- migration finish
 
     def complete_migration(self, mig: InFlightMigration, time: int) -> None:
-        ppc = self.uvm.pages_per_chunk
-        demand_vpns = {f.vpn for f in mig.faults}
-        if self._use_array:
-            self._install_pages_array(mig, demand_vpns, time)
-        else:
-            # Group pages by chunk (pattern prefetch stays within one chunk,
-            # but the tree prefetcher can cross chunks).
-            by_chunk: Dict[int, List[int]] = {}
-            for vpn in sorted(mig.pages):
-                by_chunk.setdefault(vpn // ppc, []).append(vpn)
-
-            for chunk_id, vpns in by_chunk.items():
-                entry = self.chain.get(chunk_id)
-                is_new = entry is None
-                if entry is None:
-                    entry = self.chain.new_entry(
-                        chunk_id, self.clock.current_interval
-                    )
-                for vpn in vpns:
-                    frame = self.device.allocate()
-                    self.page_table.map(vpn, frame)
-                    idx = vpn % ppc
-                    entry.mark_resident(idx)
-                    if vpn in demand_vpns:
-                        self.stats.demand_pages += 1
-                    else:
-                        entry.prefetch_mask |= 1 << idx
-                        self.stats.prefetched_pages += 1
-                    self.frontend.uncover(vpn)
-                # HPE-style counter pollution: migration bumps the counter by
-                # the number of pages migrated (Inefficiency 1 of the paper).
-                entry.counter = min(16, entry.counter + len(vpns))
-                if is_new:
-                    self.policy.insert_chunk(entry, time)
-
+        self._install_pages(mig, time)
         migrated = len(mig.pages)
         self.ledger.reserved -= migrated
         self.stats.pages_migrated += migrated
@@ -786,17 +746,19 @@ class MigrationScheduler:
         self.stats.chain_length_peak = self.chain.length_peak
         self.pump(time)
 
-    def _install_pages_array(
-        self, mig: InFlightMigration, demand_vpns: Set[int], time: int
-    ) -> None:
-        """Array-backend page install: grow the flat arrays once for the
-        batch extremes, then write frames/masks with raw indexing.  Keeps
-        the exact per-chunk, ascending-vpn order of the object path."""
+    def _install_pages(self, mig: InFlightMigration, time: int) -> None:
+        """Map the migrated pages and fold them into their chunks' entries.
+
+        Grows the flat lists once for the batch extremes, then writes
+        frames and masks with raw indexing, chunk by chunk in ascending vpn
+        order (the tree prefetcher's batches can cross chunks).
+        """
         ppc = self.uvm.pages_per_chunk
+        demand_vpns = {f.vpn for f in mig.faults}
         pages = sorted(mig.pages)
         chain = self.chain
         pt = self.page_table
-        # Arrays are contiguous, so covering both extremes covers the batch.
+        # The lists are contiguous, so covering both extremes covers the batch.
         pt._ensure(pages[0])
         pt._ensure(pages[-1])
         chain._ensure(pages[0] // ppc)
@@ -846,6 +808,8 @@ class MigrationScheduler:
                 uncover(vpn)
             res_l[li] = res
             pfm_l[li] = pfm
+            # HPE-style counter pollution: migration bumps the counter by the
+            # number of pages migrated (Inefficiency 1 of the paper).
             ctr_l[li] = min(16, ctr_l[li] + len(vpns))
             if is_new:
                 self.policy.insert_chunk(chain._handle(li), time)
@@ -890,14 +854,11 @@ class MemorySystem:
         self.obs = obs or DISABLED
 
         self.device = DeviceMemory(capacity_frames)
-        self._use_array = config.backend == "array"
-        if translation is not None:
-            self._page_table = translation.page_table
-        elif self._use_array:
-            self._page_table = ArrayPageTable(config.translation.walker.levels)
-        else:
-            self._page_table = PageTable(config.translation.walker.levels)
-        self.chain = ArrayChunkChain() if self._use_array else ChunkChain()
+        self._page_table = (
+            translation.page_table if translation is not None
+            else PageTable(config.translation.walker.levels)
+        )
+        self.chain = ChunkChain()
         self._policy_kind = policy_touch_kind(policy)
         self.pcie = PCIeLink(
             self.uvm.interconnect_gbps, self.uvm.clock_hz, self.uvm.page_size,
@@ -914,10 +875,6 @@ class MemorySystem:
         self.frontend = FaultFrontend(
             self.uvm, stats, policy, self.clock, self.obs
         )
-        if self._use_array:
-            # Swap the coverage dict for the origin-offset slot list; the
-            # frontend/scheduler code only uses the shared dict surface.
-            self.frontend.covered = ArrayCoverage()
         self.evictor = EvictionService(
             self.uvm, self.device, self._page_table, self.chain, self.pcie,
             self.ledger, policy, prefetcher, translation, stats, self.clock,
@@ -942,25 +899,8 @@ class MemorySystem:
         prefetcher.attach(
             PrefetchContext(config=config, stats=stats, obs=self.obs)
         )
-        self._refresh_backend_flags()
 
     # ------------------------------------------------------------------ API
-
-    def _refresh_backend_flags(self) -> None:
-        """Recompute the fast-path eligibility after (re)binding structures.
-
-        The fused array paths need *both* the chain and the page table to be
-        array-backed; an externally installed plain :class:`PageTable`
-        (possible through the ``page_table`` setter) falls back to the
-        generic stage code, which works on either backend through the
-        shared method surface.
-        """
-        fast = isinstance(self.chain, ArrayChunkChain) and isinstance(
-            self._page_table, ArrayPageTable
-        )
-        self._fast = fast
-        self.evictor._use_array = fast
-        self.scheduler._use_array = fast
 
     @property
     def page_table(self) -> PageTable:
@@ -973,7 +913,6 @@ class MemorySystem:
         self._page_table = page_table
         self.evictor.page_table = page_table
         self.scheduler.page_table = page_table
-        self._refresh_backend_flags()
 
     @property
     def current_interval(self) -> int:
@@ -989,60 +928,47 @@ class MemorySystem:
 
     def touch_page(self, sm_id: int, vpn: int, is_write: bool, time: int) -> None:
         """Record a successful access to a resident page."""
-        if self._fast:
-            pt = self._page_table
-            idx = vpn - pt._origin
-            frames = pt._frames
-            if not (0 <= idx < len(frames)) or frames[idx] < 0:
-                raise SimulationError(f"access to non-resident vpn {vpn}")
-            pt._accessed[idx] = 1
-            if is_write:
-                pt._dirty[idx] = 1
-            chain = self.chain
-            cid = vpn // self.uvm.pages_per_chunk
-            li = cid - chain._origin
-            if not (0 <= li < len(chain._inch)) or not chain._inch[li]:
-                raise SimulationError(f"resident vpn {vpn} has no chunk entry")
-            chain._tch[li] |= 1 << (vpn - cid * self.uvm.pages_per_chunk)
-            kind = self._policy_kind
-            if kind is None:
-                self.policy.on_page_touched(chain._handle(li), vpn, time)
-            elif kind == "lru":
-                if chain._last != cid:
-                    chain.move_to_tail(cid)
-                chain._lref[li] = self.clock._interval_index
-            elif kind == "mhpe":
-                interval = self.clock._interval_index
-                if chain._lref[li] < interval:
-                    chain._lref[li] = interval
-                    if chain._last != cid:
-                        chain.move_to_tail(cid)
-            elif kind == "hpe":
-                counter = chain._ctr[li]
-                if counter < 16:
-                    chain._ctr[li] = counter + 1
-                if chain._last != cid:
-                    chain.move_to_tail(cid)
-                chain._lref[li] = self.clock._interval_index
-            else:  # "ref": recency-blind, interval bookkeeping only
-                chain._lref[li] = self.clock._interval_index
-            return
-        self._page_table.record_access(vpn, is_write)
-        ppc = self.uvm.pages_per_chunk
-        entry = self.chain.get(vpn // ppc)
-        if entry is None:
+        pt = self._page_table
+        idx = vpn - pt._origin
+        frames = pt._frames
+        if not (0 <= idx < len(frames)) or frames[idx] < 0:
+            raise SimulationError(f"access to non-resident vpn {vpn}")
+        pt._accessed[idx] = 1
+        if is_write:
+            pt._dirty[idx] = 1
+        chain = self.chain
+        cid = vpn // self.uvm.pages_per_chunk
+        li = cid - chain._origin
+        if not (0 <= li < len(chain._inch)) or not chain._inch[li]:
             raise SimulationError(f"resident vpn {vpn} has no chunk entry")
-        entry.mark_touched(vpn % ppc)
-        self.policy.on_page_touched(entry, vpn, time)
+        chain._tch[li] |= 1 << (vpn - cid * self.uvm.pages_per_chunk)
+        kind = self._policy_kind
+        if kind is None:
+            self.policy.on_page_touched(chain._handle(li), vpn, time)
+        elif kind == "lru":
+            if chain._last != cid:
+                chain.move_to_tail(cid)
+            chain._lref[li] = self.clock._interval_index
+        elif kind == "mhpe":
+            interval = self.clock._interval_index
+            if chain._lref[li] < interval:
+                chain._lref[li] = interval
+                if chain._last != cid:
+                    chain.move_to_tail(cid)
+        elif kind == "hpe":
+            counter = chain._ctr[li]
+            if counter < 16:
+                chain._ctr[li] = counter + 1
+            if chain._last != cid:
+                chain.move_to_tail(cid)
+            chain._lref[li] = self.clock._interval_index
+        else:  # "ref": recency-blind, interval bookkeeping only
+            chain._lref[li] = self.clock._interval_index
 
     def handle_fault(self, fault: FarFault) -> None:
-        """Entry point for an SM's far fault."""
-        if not self._fast:
-            if self.frontend.intake(fault):
-                self.scheduler.pump(fault.time)
-            return
-        # Array fast path: FaultFrontend.intake flattened (byte-identical
-        # bookkeeping; per-fault method calls add up at this rate).
+        """Entry point for an SM's far fault: account it, merge it into an
+        in-flight migration covering its page, or queue it and pump the
+        scheduler.  Flattened, because per-fault method calls add up."""
         frontend = self.frontend
         stats = self.stats
         stats.far_faults += 1

@@ -26,9 +26,7 @@ Mechanics (all deterministic, all O(1) per fault):
 
 This module is deliberately wired through the *public* registry API only —
 no edits to ``harness/baselines.py``, ``config.py`` or ``cli.py`` — as the
-proof that third-party prefetcher families can do the same.  It works
-unchanged on both data-structure backends (the prefetcher interface is
-backend-agnostic; tests/test_ngram.py runs the differential).
+proof that third-party prefetcher families can do the same.
 """
 
 from __future__ import annotations

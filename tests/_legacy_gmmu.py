@@ -7,7 +7,9 @@ byte-identical to the monolith it replaced.  The only mechanical
 adaptations: the ``PolicyContext`` construction uses the narrowed
 ``clock=`` protocol field (via the ``_MonolithClock`` adapter below)
 instead of the removed ``get_interval`` callback — the values observed by
-policies are identical.  Do not modernise this file.
+policies are identical — and the page table and chunk chain come from
+``_legacy_structures`` (the object-graph representations, moved out of the
+package unchanged).  Do not modernise this file.
 
 Original docstring:
 
@@ -45,10 +47,9 @@ from repro.obs import DISABLED, Observability
 from repro.policies.base import EvictionPolicy, PolicyContext
 from repro.prefetch.base import PrefetchContext, Prefetcher
 from repro.translation.hierarchy import TranslationHierarchy
-from repro.memsim.chunk_chain import ChunkChain, ChunkEntry
+from _legacy_structures import ChunkChain, ChunkEntry, PageTable
 from repro.memsim.device_memory import DeviceMemory
 from repro.memsim.fault import FarFault, InFlightMigration
-from repro.memsim.page_table import PageTable
 from repro.memsim.pcie import PCIeLink
 
 __all__ = ["GMMU"]

@@ -1,15 +1,24 @@
-"""Shared helpers for policy/prefetcher unit tests."""
+"""Shared helpers for policy/prefetcher unit tests and for the
+differential runs against the reference monolith."""
 
 from __future__ import annotations
 
+import pickle
 import random
 from typing import List
 
+import repro.engine.multi as multi_module
+import repro.engine.simulator as simulator_module
+from _legacy_gmmu import GMMU as LegacyGMMU
+from _legacy_structures import PageTable as LegacyPageTable
 from repro.config import SimConfig
 from repro.engine.stats import SimStats
+from repro.harness.baselines import build_setup
+from repro.harness.cache import _PICKLE_PROTOCOL
 from repro.memsim.chunk_chain import ChunkChain, ChunkEntry
 from repro.policies.base import EvictionPolicy, PolicyContext
 from repro.prefetch.base import PrefetchContext, Prefetcher
+from repro.workloads.suite import make_workload
 
 
 class IntervalClock:
@@ -61,14 +70,61 @@ def full_entry(chunk_id: int, interval: int = 0, touched: int = 0xFFFF) -> Chunk
 
 def populate(policy: EvictionPolicy, chunk_ids: List[int], interval: int = 0,
              touched: int = 0xFFFF) -> List[ChunkEntry]:
-    """Insert fully resident chunks via the policy's own insert hook."""
-    entries = []
+    """Insert fully resident chunks via the policy's own insert hook; returns
+    the chain's own entries, so a test's edits reach the chain."""
+    chain = policy.ctx.chain
     for cid in chunk_ids:
-        entry = full_entry(cid, interval, touched)
-        policy.insert_chunk(entry, time=0)
-        entries.append(entry)
-    return entries
+        policy.insert_chunk(full_entry(cid, interval, touched), time=0)
+    return [chain.get(cid) for cid in chunk_ids]
 
 
 def never_skip(vpn: int) -> bool:
     return False
+
+
+def _legacy_page_table(config, workload):
+    return LegacyPageTable(config.translation.walker.levels)
+
+
+def simulate(workload, setup, rate, monkeypatch, legacy, obs=None,
+             config=None, instances=1, scale=0.25):
+    """One simulation through the public Simulator (``instances > 1``: the
+    ShardedSimulator), on the production memory system or, with ``legacy``,
+    on the frozen monolith over the object-graph reference structures.
+
+    The monolith is injected by monkeypatching the ``MemorySystem`` and
+    ``build_page_table`` names the engine modules resolve at construction
+    time, so both sides see the same constructor arguments and the same
+    post-construction ``page_table`` installation: any divergence is a real
+    behavioural difference, not harness noise.  ``workload`` is a suite app
+    name (built at ``scale``) or a :class:`~repro.workloads.base.Workload`.
+    """
+    if isinstance(workload, str):
+        workload = make_workload(workload, scale=scale)
+    with monkeypatch.context() as patch:
+        if legacy:
+            for module in (simulator_module, multi_module):
+                patch.setattr(module, "MemorySystem", LegacyGMMU)
+                patch.setattr(module, "build_page_table", _legacy_page_table)
+        pairs = [build_setup(setup) for _ in range(instances)]
+        if instances == 1:
+            sim = simulator_module.Simulator(
+                workload, policy=pairs[0][0], prefetcher=pairs[0][1],
+                oversubscription=rate, config=config, obs=obs,
+            )
+            systems = [sim.gmmu]
+        else:
+            sim = multi_module.ShardedSimulator(
+                workload, policies=[p for p, _ in pairs],
+                prefetchers=[pf for _, pf in pairs],
+                oversubscription=rate, config=config, obs=obs,
+            )
+            systems = sim.systems
+        for system in systems:
+            assert (type(system) is LegacyGMMU) == legacy, type(system)
+            assert (type(system.page_table) is LegacyPageTable) == legacy
+        return sim.run()
+
+
+def result_bytes(result) -> bytes:
+    return pickle.dumps(result, protocol=_PICKLE_PROTOCOL)

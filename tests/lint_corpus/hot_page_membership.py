@@ -1,7 +1,7 @@
 # expect: REPRO107
 # repro-lint: module=repro.memsim.corpus_hotpath
-"""Per-page membership probes in an index loop: the pattern the array
-backend (flat residency/touch masks) exists to eliminate.
+"""Per-page membership probes in an index loop: the pattern the flat-list
+memory system (flat residency/touch masks) exists to eliminate.
 
 Each iteration hashes a boxed page index against a Python set; at
 pages-per-chunk x chunks x faults scale these probes dominate simulator

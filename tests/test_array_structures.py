@@ -1,10 +1,11 @@
-"""Property tests: the array structures are their object-graph oracles.
+"""Property tests: the flat-list structures are their object-graph oracles.
 
-Hypothesis drives random operation sequences against an
-(:class:`ArrayPageTable`, :class:`PageTable`) pair and an
-(:class:`ArrayChunkChain`, :class:`ChunkChain`) pair, asserting the
-observable state agrees after every step.  This is the unit-level
-counterpart of ``tests/test_backend_differential.py``: the differential
+Hypothesis drives random operation sequences against a
+(:class:`PageTable`, reference dict page table) pair, a (:class:`ChunkChain`,
+reference linked chain) pair and a (:class:`CoverageMap`, dict) pair,
+asserting the observable state agrees after every step.  The references
+live in ``tests/_legacy_structures.py``.  This is the unit-level
+counterpart of ``tests/test_system_differential.py``: the differential
 suite proves whole simulations byte-identical, these properties localise
 any divergence to a single structure operation.
 
@@ -15,18 +16,14 @@ of the origin-offset representation.
 
 from __future__ import annotations
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memsim.array_backend import (
-    ArrayChunkChain,
-    ArrayCoverage,
-    ArrayPageTable,
-    unpack_masks,
-)
-from repro.memsim.chunk_chain import ChunkChain, ChunkEntry
+from _legacy_structures import ChunkChain as LinkedChunkChain
+from _legacy_structures import PageTable as DictPageTable
+from repro.memsim.chunk_chain import ChunkChain
 from repro.memsim.page_table import PageTable
+from repro.memsim.system import CoverageMap
 
 #: A few ids below / around zero, a band at the workload base: exercises
 #: in-place growth at both ends plus negative indices (which must NOT wrap
@@ -62,8 +59,8 @@ class TestArrayPageTable:
     @settings(max_examples=60, deadline=None)
     @given(ops=PT_OPS)
     def test_matches_dict_page_table(self, ops):
-        arr = ArrayPageTable(4, origin_hint=0x80000, size_hint=64)
-        obj = PageTable(4)
+        arr = PageTable(4, origin_hint=0x80000, size_hint=64)
+        obj = DictPageTable(4)
         next_frame = 0
         touched = sorted({vpn for _, vpn in ops})
         for op, vpn in ops:
@@ -88,7 +85,7 @@ class TestArrayPageTable:
 
         from repro.errors import SimulationError
 
-        arr = ArrayPageTable(4, origin_hint=0x80000, size_hint=16)
+        arr = PageTable(4, origin_hint=0x80000, size_hint=16)
         with pytest.raises(SimulationError):
             arr.unmap(0x7FF00)  # negative local index must not wrap
 
@@ -123,7 +120,6 @@ def _chain_observables(chain, ids, interval):
                     entry.last_ref_interval,
                     entry.insert_interval,
                     entry.insert_order,
-                    entry.in_chain,
                     entry.untouch_level(),
                     entry.partition(interval),
                 )
@@ -143,8 +139,8 @@ class TestArrayChunkChain:
     @settings(max_examples=60, deadline=None)
     @given(ops=CHAIN_OPS, interval=st.integers(min_value=0, max_value=4))
     def test_matches_linked_chain(self, ops, interval):
-        arr = ArrayChunkChain()
-        obj = ChunkChain()
+        arr = ChunkChain()
+        obj = LinkedChunkChain()
         ids = sorted({cid for _, cid, _ in ops})
         for op, cid, page in ops:
             in_chain = cid in obj
@@ -179,19 +175,6 @@ class TestArrayChunkChain:
                 obj, ids, interval
             )
 
-    def test_mask_matrix_mirrors_masks(self):
-        chain = ArrayChunkChain()
-        for cid, res, tch in [(3, 0b1011, 0b0010), (7, 0b1111, 0b1111)]:
-            entry = chain.new_entry(cid, 0)
-            entry.resident_mask = res
-            entry.touched_mask = tch
-            chain.insert_tail(entry)
-        matrix = chain.mask_matrix(pages_per_chunk=4)
-        assert matrix.shape == (2, 3, 4)
-        assert matrix[0, 0].tolist() == [1, 1, 0, 1]  # chunk 3 resident bits
-        assert matrix[0, 1].tolist() == [0, 1, 0, 0]  # chunk 3 touched bits
-        assert matrix[1, 0].tolist() == [1, 1, 1, 1]
-
 
 class TestArrayCoverage:
     @settings(max_examples=40, deadline=None)
@@ -202,7 +185,7 @@ class TestArrayCoverage:
         )
     )
     def test_matches_dict(self, ops):
-        arr = ArrayCoverage()
+        arr = CoverageMap()
         obj = {}
         for op, vpn in ops:
             token = object()  # stands in for an InFlightMigration
@@ -215,26 +198,3 @@ class TestArrayCoverage:
                 assert arr.get(vpn) is obj.get(vpn)
             assert len(arr) == len(obj)
             assert (vpn in arr) == (vpn in obj)
-
-
-class TestUnpackMasks:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        masks=st.lists(st.integers(min_value=0, max_value=2**16 - 1), max_size=8),
-        pages=st.integers(min_value=1, max_value=16),
-    )
-    def test_bits_roundtrip(self, masks, pages):
-        matrix = unpack_masks(masks, pages)
-        assert matrix.shape == (len(masks), pages)
-        assert matrix.dtype == np.uint8
-        for row, mask in zip(matrix, masks):
-            for bit in range(pages):
-                assert row[bit] == (mask >> bit) & 1
-
-    def test_popcount_matches_untouch_level(self):
-        entry = ChunkEntry(0, 0)
-        entry.resident_mask = 0b110110
-        entry.touched_mask = 0b010010
-        matrix = unpack_masks([entry.resident_mask, entry.touched_mask], 6)
-        untouched = int((matrix[0] & ~matrix[1] & 1).sum())
-        assert untouched == entry.untouch_level()

@@ -1,31 +1,27 @@
-"""Differential proof that ``backend="array"`` is ``backend="object"``.
+"""Differential proof that the flat-list memory system is its object oracle,
+on a small GPU and in the sharded scenario.
 
-The array fast path (``repro.memsim.array_backend`` + the fused hot loops
-in ``repro.engine.sm`` / ``repro.memsim.system``) must be *behavior
-preserving*: same results, same traces, same metrics, same crashes.  These
-tests run the public :class:`~repro.engine.simulator.Simulator` under both
-``SimConfig.backend`` values over a policy × oversubscription × workload
-matrix (>= 24 cases) and require **byte-identical** pickled
-``SimulationResult``s and byte-identical JSONL trace files.
-
-The object backend is the oracle.  Nothing is monkeypatched: backend
-selection is the production code path (``SimConfig.with_(backend=...)``),
-so any divergence is a real behavioral difference in the fast path.
+The fused hot loops in ``repro.engine.sm`` / ``repro.memsim.system`` over
+the flat-list page table and chunk chain must be *behavior preserving*:
+same results, same traces, same metrics, same crashes.  These tests run the
+public :class:`~repro.engine.simulator.Simulator` with a 4-SM config over a
+policy × oversubscription × workload matrix (>= 24 cases), once on the
+production memory system and once on the frozen monolith over the
+object-graph reference structures (``helpers.simulate``), and require
+**byte-identical** pickled ``SimulationResult``s and byte-identical JSONL
+trace files.  ``tests/test_system_differential.py`` runs the same check at
+the default 28-SM config.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import pickle
 
 import pytest
 
+from helpers import result_bytes, simulate
 from repro.config import SimConfig, SMConfig
-from repro.engine.simulator import Simulator
-from repro.harness.baselines import build_setup
-from repro.harness.cache import _PICKLE_PROTOCOL
 from repro.obs import Observability, write_jsonl
-from repro.workloads.suite import make_workload
 
 #: The paper's policy families: LRU (baseline), HPE, MHPE alone, full CPPE.
 SETUPS = ["baseline", "hpe", "mhpe-naive", "cppe"]
@@ -33,27 +29,17 @@ RATES = [None, 0.75, 0.5]
 #: One app per regularity regime: NW (strided thrasher, pattern-prefetch
 #: target), BFS (irregular).
 APPS = ["NW", "BFS"]
-SCALE = 0.25
+FAST = SimConfig(sm=SMConfig(num_sms=4))
 
 
-def _run(app, setup, rate, backend, obs=None, config=None):
-    """One simulation through the public Simulator on the given backend."""
-    base = config or SimConfig(sm=SMConfig(num_sms=4))
-    workload = make_workload(app, scale=SCALE)
-    policy, prefetcher = build_setup(setup)
-    sim = Simulator(
-        workload,
-        policy=policy,
-        prefetcher=prefetcher,
-        oversubscription=rate,
-        config=base.with_(backend=backend),
-        obs=obs,
+def _both(app, setup, rate, monkeypatch, config=FAST, obs_pair=(None, None),
+          instances=1):
+    """(production, oracle) results for one case."""
+    return tuple(
+        simulate(app, setup, rate, monkeypatch, legacy, obs=obs,
+                 config=config, instances=instances)
+        for legacy, obs in zip((False, True), obs_pair)
     )
-    return sim.run()
-
-
-def _bytes(result) -> bytes:
-    return pickle.dumps(result, protocol=_PICKLE_PROTOCOL)
 
 
 class TestByteIdenticalResults:
@@ -61,68 +47,48 @@ class TestByteIdenticalResults:
     @pytest.mark.parametrize("setup", SETUPS)
     @pytest.mark.parametrize("rate", RATES)
     @pytest.mark.parametrize("app", APPS)
-    def test_result_bytes_match_oracle(self, app, setup, rate):
-        arr = _run(app, setup, rate, "array")
-        obj = _run(app, setup, rate, "object")
-        assert _bytes(arr) == _bytes(obj)
+    def test_result_bytes_match_oracle(self, app, setup, rate, monkeypatch):
+        arr, obj = _both(app, setup, rate, monkeypatch)
+        assert result_bytes(arr) == result_bytes(obj)
 
-    def test_crash_outcome_matches_oracle(self):
-        # The thrashing-crash budget must trip at the exact same eviction on
-        # both backends (the array eviction path is a separate code path).
-        base = SimConfig(sm=SMConfig(num_sms=4))
-        config = base.with_(
-            uvm=dataclasses.replace(base.uvm, crash_eviction_budget_factor=0.5)
+    def test_crash_outcome_matches_oracle(self, monkeypatch):
+        # The thrashing-crash budget must trip at the exact same eviction
+        # (the fused eviction path checks it per evicted chunk).
+        config = FAST.with_(
+            uvm=dataclasses.replace(FAST.uvm, crash_eviction_budget_factor=0.5)
         )
-        arr = _run("NW", "baseline", 0.5, "array", config=config)
-        obj = _run("NW", "baseline", 0.5, "object", config=config)
+        arr, obj = _both("NW", "baseline", 0.5, monkeypatch, config=config)
         assert arr.crashed and obj.crashed
-        assert _bytes(arr) == _bytes(obj)
+        assert result_bytes(arr) == result_bytes(obj)
 
 
 class TestByteIdenticalTraces:
-    # Traced variants: the fused fast paths skip the trace-emit call sites
-    # only behind `trace.enabled` guards — identical events must come out
-    # when tracing is on.
+    # Traced variants: the fused paths emit trace events only behind
+    # `trace.enabled` guards — identical events must come out when tracing
+    # is on.
     @pytest.mark.parametrize("setup", ["baseline", "cppe"])
     @pytest.mark.parametrize("app", ["NW", "BFS"])
-    def test_jsonl_trace_bytes_match_oracle(self, setup, app, tmp_path):
-        obs_a = Observability.enabled_()
-        _run(app, setup, 0.5, "array", obs=obs_a)
-        obs_b = Observability.enabled_()
-        _run(app, setup, 0.5, "object", obs=obs_b)
+    def test_jsonl_trace_bytes_match_oracle(self, setup, app, monkeypatch,
+                                            tmp_path):
+        obs_a, obs_b = Observability.enabled_(), Observability.enabled_()
+        _both(app, setup, 0.5, monkeypatch, obs_pair=(obs_a, obs_b))
         arr_path = write_jsonl(obs_a.tracer.events, tmp_path / "array.jsonl")
         obj_path = write_jsonl(obs_b.tracer.events, tmp_path / "object.jsonl")
         arr_bytes = arr_path.read_bytes()
         assert arr_bytes == obj_path.read_bytes()
         assert arr_bytes  # a traced oversubscribed run is never empty
 
-    def test_metrics_snapshot_matches_oracle(self):
-        # Counter values are flushed from hoisted locals in the fast SM
+    def test_metrics_snapshot_matches_oracle(self, monkeypatch):
+        # Counter values are flushed from hoisted locals in the fused SM
         # loop; names, registration order and values must all survive.
-        obs_a = Observability.enabled_()
-        _run("NW", "cppe", 0.5, "array", obs=obs_a)
-        obs_b = Observability.enabled_()
-        _run("NW", "cppe", 0.5, "object", obs=obs_b)
+        obs_a, obs_b = Observability.enabled_(), Observability.enabled_()
+        _both("NW", "cppe", 0.5, monkeypatch, obs_pair=(obs_a, obs_b))
         assert obs_a.metrics.snapshot() == obs_b.metrics.snapshot()
 
 
 class TestMultiInstanceBackend:
-    def test_sharded_run_matches_oracle(self):
-        # The sharded multi-GPU scenario builds its page tables through the
-        # same backend-aware factory (`build_page_table`).
-        from repro.engine.multi import ShardedSimulator
-
-        results = []
-        for backend in ("array", "object"):
-            workload = make_workload("NW", scale=SCALE)
-            pairs = [build_setup("cppe") for _ in range(2)]
-            results.append(
-                ShardedSimulator(
-                    workload,
-                    policies=[p for p, _ in pairs],
-                    prefetchers=[pf for _, pf in pairs],
-                    oversubscription=0.5,
-                    config=SimConfig(sm=SMConfig(num_sms=4), backend=backend),
-                ).run()
-            )
-        assert _bytes(results[0]) == _bytes(results[1])
+    def test_sharded_run_matches_oracle(self, monkeypatch):
+        # The sharded multi-GPU scenario builds one memory system and page
+        # table per instance (`build_page_table`) on one event queue.
+        arr, obj = _both("NW", "cppe", 0.5, monkeypatch, instances=2)
+        assert result_bytes(arr) == result_bytes(obj)

@@ -1,9 +1,11 @@
-"""Edge-case equivalence and cache-key identity for the array backend.
+"""Edge-case equivalence and cache-key stability for the flat-list memory
+system.
 
-The differential matrix (``tests/test_backend_differential.py``) covers
-the broad policy × rate × app space; these tests pin the narrow spots
-where a flat-array representation is most likely to diverge from the
-object graph:
+The differential matrices (``tests/test_system_differential.py``,
+``tests/test_backend_differential.py``) cover the broad policy × rate × app
+space; these tests pin the narrow spots where a flat-list representation
+is most likely to diverge from the object-graph oracle (the frozen monolith
+over ``tests/_legacy_structures.py``, run by ``helpers.simulate``):
 
 * a footprint whose tail chunk is partial (``footprint % 64 != 0``) —
   mask arithmetic must not touch pages past the tail;
@@ -11,49 +13,36 @@ object graph:
   alone must already be identical;
 * an access pattern straddling a 64-page chunk boundary under the
   tree/pattern prefetcher — prefetch masks span two chunks;
-* cache-key identity — ``backend`` is elided from both fingerprints, so
-  an entry cached under one backend must be a hit under the other.
+* cache keys — ``SimConfig`` has no representation switch, its
+  fingerprint is the one every existing cache entry was stored under, and
+  an entry the object-graph representation wrote is served unchanged.
 """
 
 from __future__ import annotations
 
-import pickle
-
 import numpy as np
 import pytest
 
+from helpers import result_bytes, simulate
 from repro.config import SimConfig, SMConfig
-from repro.engine.simulator import Simulator
-from repro.harness.baselines import build_setup
-from repro.harness.cache import (
-    _PICKLE_PROTOCOL,
-    ResultCache,
-    config_fingerprint,
-    spec_fingerprint,
-)
+from repro.harness.cache import ResultCache, config_fingerprint, spec_fingerprint
 from repro.harness.experiment import RunSpec
 from repro.workloads.base import Workload
 
 FAST = SimConfig(sm=SMConfig(num_sms=4))
 
 
-def _both_backends(workload, rate, setup="cppe"):
-    out = []
-    for backend in ("object", "array"):
-        policy, prefetcher = build_setup(setup)
-        result = Simulator(
-            workload,
-            policy=policy,
-            prefetcher=prefetcher,
-            oversubscription=rate,
-            config=FAST.with_(backend=backend),
-        ).run()
-        out.append(pickle.dumps(result, protocol=_PICKLE_PROTOCOL))
-    return out
+def _both(workload, rate, monkeypatch, setup="cppe"):
+    """Pickled (production, oracle) results for one workload."""
+    return [
+        result_bytes(simulate(workload, setup, rate, monkeypatch, legacy,
+                              config=FAST))
+        for legacy in (False, True)
+    ]
 
 
 class TestPartialTailChunk:
-    def test_footprint_not_a_multiple_of_chunk(self):
+    def test_footprint_not_a_multiple_of_chunk(self, monkeypatch):
         # 40-page footprint: the single chunk is partial; with rate 0.5 the
         # eviction path runs over a partial resident mask too.
         footprint = 40
@@ -65,10 +54,10 @@ class TestPartialTailChunk:
                 footprint_pages=footprint,
                 accesses=np.concatenate([sweep] * 4),
             )
-            obj, arr = _both_backends(workload, rate)
-            assert obj == arr, f"divergence at rate={rate}"
+            arr, obj = _both(workload, rate, monkeypatch)
+            assert arr == obj, f"divergence at rate={rate}"
 
-    def test_tail_chunk_straddling_capacity(self):
+    def test_tail_chunk_straddling_capacity(self, monkeypatch):
         # 200 pages = 3 chunks + a 8-page tail; capacity forces the tail
         # chunk through eviction and re-migration.
         footprint = 200
@@ -79,12 +68,12 @@ class TestPartialTailChunk:
             footprint_pages=footprint,
             accesses=np.concatenate([sweep] * 5),
         )
-        obj, arr = _both_backends(workload, 0.6, setup="baseline")
-        assert obj == arr
+        arr, obj = _both(workload, 0.6, monkeypatch, setup="baseline")
+        assert arr == obj
 
 
 class TestZeroOversubscription:
-    def test_no_eviction_run_is_identical(self):
+    def test_no_eviction_run_is_identical(self, monkeypatch):
         footprint = 192
         rng_pattern = np.concatenate(
             [np.arange(footprint, dtype=np.int64)] * 3
@@ -95,12 +84,12 @@ class TestZeroOversubscription:
             footprint_pages=footprint,
             accesses=rng_pattern,
         )
-        obj, arr = _both_backends(workload, None)
-        assert obj == arr
+        arr, obj = _both(workload, None, monkeypatch)
+        assert arr == obj
 
 
 class TestIntervalBoundaryStraddle:
-    def test_accesses_straddling_chunk_boundaries(self):
+    def test_accesses_straddling_chunk_boundaries(self, monkeypatch):
         # Alternate across the 64-page boundary between chunks 0 and 1 and
         # between chunks 2 and 3: the pattern prefetcher sees strides that
         # cross chunk edges, so prefetch masks land in two chunks at once.
@@ -116,49 +105,45 @@ class TestIntervalBoundaryStraddle:
             accesses=accesses,
         )
         for rate in (None, 0.5):
-            obj, arr = _both_backends(workload, rate, setup="cppe")
-            assert obj == arr, f"divergence at rate={rate}"
+            arr, obj = _both(workload, rate, monkeypatch)
+            assert arr == obj, f"divergence at rate={rate}"
 
 
 class TestCacheKeyIdentity:
     def test_backend_excluded_from_fingerprints(self):
-        obj_cfg = SimConfig(backend="object")
-        arr_cfg = SimConfig(backend="array")
-        assert config_fingerprint(obj_cfg) == config_fingerprint(arr_cfg)
-        spec = RunSpec("NW", "cppe", 0.5, scale=0.25)
-        assert spec_fingerprint(spec, obj_cfg) == spec_fingerprint(spec, arr_cfg)
+        # Golden keys from before the representation switch was removed (it
+        # was elided from the hash then): every cached entry stays reachable.
+        assert config_fingerprint(SimConfig()) == (
+            "13f6aad163e7c6a91c21421a087700f049e0d33345526f02098750399b66ff83"
+        )
+        assert SimConfig().backend == "array"
 
     def test_other_fields_still_change_the_key(self):
-        # The elision must be surgical: everything else still keys.
         assert config_fingerprint(SimConfig()) != config_fingerprint(
             SimConfig(seed=1234)
         )
+        spec = RunSpec("NW", "cppe", 0.5, scale=0.25)
+        assert spec_fingerprint(spec) != spec_fingerprint(spec, FAST)
 
-    def test_cross_backend_cache_hit(self, tmp_path):
-        # A result stored under the object backend must be served to an
-        # array-backend request (and vice versa): the backends are proven
-        # byte-identical, so sharing entries is both safe and the point.
+    def test_cross_backend_cache_hit(self, tmp_path, monkeypatch):
+        # An entry written by the object-graph representation (the former
+        # default wrote every existing cache entry) is served to a request
+        # today, and equals what the flat-list memory system computes.
         cache = ResultCache(tmp_path)
         spec = RunSpec("NW", "cppe", 0.5, scale=0.25)
-        from repro.harness.baselines import build_setup as _setup
-        from repro.workloads.suite import make_workload
-
-        policy, prefetcher = _setup("cppe")
-        result = Simulator(
-            make_workload("NW", scale=0.25),
-            policy=policy,
-            prefetcher=prefetcher,
-            oversubscription=0.5,
-            config=FAST.with_(backend="object"),
-        ).run()
-        cache.put(spec, FAST.with_(backend="object"), result)
-        hit = cache.get(spec, FAST.with_(backend="array"))
-        assert hit is not None
-        assert pickle.dumps(hit, protocol=_PICKLE_PROTOCOL) == pickle.dumps(
-            result, protocol=_PICKLE_PROTOCOL
+        arr, obj = (
+            simulate("NW", "cppe", 0.5, monkeypatch, legacy, config=FAST)
+            for legacy in (False, True)
         )
+        cache.put(spec, FAST, obj)
+        hit = cache.get(spec, FAST)
+        assert hit is not None
+        assert result_bytes(hit) == result_bytes(arr)
         assert cache.hits == 1 and cache.misses == 0
 
     def test_invalid_backend_rejected(self):
-        with pytest.raises(Exception):
-            SimConfig(backend="simd")
+        # ``backend`` is a class constant, not a field: nothing selects it.
+        with pytest.raises(TypeError):
+            SimConfig(backend="object")
+        with pytest.raises(TypeError):
+            SimConfig().with_(backend="array")

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.engine.simulator import Simulator
 from repro.errors import SimulationError
-from repro.memsim.chunk_chain import ChunkChain, ChunkEntry
+from repro.harness.baselines import build_setup
+from repro.memsim.chunk_chain import _PAD_CHUNKS, ChunkChain, ChunkEntry
+from repro.workloads.suite import make_workload
 
 
 def chain_with(ids, interval=0):
@@ -75,7 +78,7 @@ class TestChainLinking:
         chain = chain_with([1, 2, 3])
         removed = chain.remove(2)
         assert removed.chunk_id == 2
-        assert not removed.in_chain
+        assert chain.get(2) is None
         assert [e.chunk_id for e in chain.from_head()] == [1, 3]
         assert 2 not in chain
 
@@ -140,3 +143,16 @@ class TestPartitionedCandidates:
         chain = ChunkChain()
         assert chain.candidates_from_tail(0) == []
         assert chain.candidates_from_head(0) == []
+
+
+class TestOriginAnchor:
+    def test_suite_simulation_allocates_only_its_footprint(self):
+        # Suite workloads sit at base_vpn 0x80000 (chunk id 0x8000): the
+        # slot lists start at the first chunk stored, not at chunk 0.
+        workload = make_workload("NW", scale=0.25)
+        policy, prefetcher = build_setup("cppe")
+        sim = Simulator(workload, policy=policy, prefetcher=prefetcher,
+                        oversubscription=0.5)
+        sim.run()
+        slots = len(sim.memory.chain._inch)
+        assert slots <= workload.footprint_chunks + _PAD_CHUNKS

@@ -5,7 +5,7 @@ import pytest
 from repro.config import SimConfig, SMConfig, TranslationConfig, UVMConfig
 from repro.engine.events import EventQueue
 from repro.engine.stats import SimStats
-from repro.errors import SimulationError, ThrashingCrash
+from repro.errors import CapacityError, SimulationError, ThrashingCrash
 from repro.memsim.fault import FarFault
 from repro.memsim.gmmu import GMMU
 from repro.policies.lru import LRUPolicy
@@ -172,6 +172,16 @@ class TestEviction:
         fault(gmmu, 32)
         events.run()
         assert stats.prefetched_pages_touched == 3
+
+    def test_eviction_guards_against_double_free(self):
+        # The fused eviction path returns frames to the allocator in bulk;
+        # it must still refuse to free more frames than were handed out.
+        gmmu, events, _ = make_gmmu(capacity=32)
+        fault(gmmu, 0)
+        events.run()
+        gmmu.device._allocated = 0  # corrupt: pretend nothing is allocated
+        with pytest.raises(CapacityError, match="double free"):
+            gmmu.evictor.evict_chunk(gmmu.chain.get(0), events.now)
 
 
 class TestIntervals:

@@ -111,14 +111,14 @@ class TestRepoClosures:
         assert "repro.harness.cache.config_fingerprint" in quals
         assert "repro.harness.cache._config_payload" in quals
         elided = {site.field for site in repo_analysis.elisions}
-        assert elided == {"backend", "instances"}
+        assert elided == {"instances"}
 
     def test_allowlist_parsed_from_cache_module(self, repo_analysis):
         entries = {
             (entry.dataclass_name, entry.field)
             for entry in repo_analysis.allowlist
         }
-        assert {("SimConfig", "backend"), ("RunSpec", "instances")} <= entries
+        assert ("RunSpec", "instances") in entries
         assert all(
             len(entry.reason) >= 10 for entry in repo_analysis.allowlist
         )

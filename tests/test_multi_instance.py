@@ -130,10 +130,7 @@ class TestCacheKeyCompatibility:
 
         from repro.harness.cache import CACHE_SCHEMA_VERSION
 
-        # ``backend`` post-dates the key space too, and selects between
-        # byte-identical implementations — elided just like ``instances``.
         config_fields = dataclasses.asdict(SimConfig())
-        assert config_fields.pop("backend") == "object"
         payload = {
             "schema": CACHE_SCHEMA_VERSION,
             "spec": fields,

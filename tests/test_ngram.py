@@ -7,8 +7,9 @@ until they fault again (the CPPE coordination feedback).
 
 Integration level: the prefetcher reaches the simulator purely through the
 registry — ``run_one`` with the ``"ngram"`` setup and the ``"mhpe+ngram"``
-pair name — and produces byte-identical results on both data-structure
-backends, without any edit to baselines.py/config.py/cli.py.
+pair name — and produces results byte-identical to the object-graph
+oracle (the frozen monolith), without any edit to
+baselines.py/config.py/cli.py.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import pickle
 
 import pytest
 
-from helpers import attach_prefetcher, never_skip
+from helpers import attach_prefetcher, never_skip, result_bytes, simulate
 from repro.config import SimConfig, SMConfig
 from repro.errors import ConfigError
 from repro.harness.cache import _PICKLE_PROTOCOL
@@ -151,17 +152,13 @@ class TestThroughRegistry:
         assert result.policy == "mhpe"
 
     @pytest.mark.parametrize("setup", ["ngram", "mhpe+ngram"])
-    def test_backends_byte_identical(self, setup):
-        spec = RunSpec("NW", setup, 0.75, scale=0.25)
+    def test_backends_byte_identical(self, setup, monkeypatch):
         config = SimConfig(sm=SMConfig(num_sms=4))
         results = [
-            run_one(spec, config.with_(backend=backend), use_cache=False)
-            for backend in ("object", "array")
+            simulate("NW", setup, 0.75, monkeypatch, legacy, config=config)
+            for legacy in (False, True)
         ]
-        blobs = [
-            pickle.dumps(r, protocol=_PICKLE_PROTOCOL) for r in results
-        ]
-        assert blobs[0] == blobs[1]
+        assert result_bytes(results[0]) == result_bytes(results[1])
 
     def test_deterministic_across_runs(self):
         spec = RunSpec("SRD", "ngram", 0.5, scale=0.25)

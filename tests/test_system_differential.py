@@ -1,37 +1,25 @@
-"""Differential proof that the staged MemorySystem is the old monolith.
+"""Differential proof that the memory system is the old monolith.
 
-The tentpole refactor (``repro.memsim.system``) must be *behavior
-preserving*: same results, same traces, same cache keys.  These tests run
-the staged pipeline and the frozen pre-refactor god-object
-(``tests/_legacy_gmmu.py``) over a workload × policy × oversubscription
-matrix and require **byte-identical** pickled ``SimulationResult``s and
-byte-identical JSONL traces.
-
-The legacy class is injected by monkeypatching the ``MemorySystem`` name
-the ``Simulator`` module resolves at construction time — both classes see
-the exact same constructor arguments and the same post-construction
-``page_table`` installation, so any divergence is a real behavioral
-difference in the pipeline, not harness noise.
+The staged :class:`~repro.memsim.system.MemorySystem` over its flat-list
+structures must be *behavior preserving*: same results, same traces, same
+cache keys.  These tests run it and the frozen pre-refactor god-object
+(``tests/_legacy_gmmu.py``, on the object-graph reference structures of
+``tests/_legacy_structures.py``) over a workload × policy ×
+oversubscription matrix and require **byte-identical** pickled
+``SimulationResult``s and byte-identical JSONL traces.  The runner,
+``helpers.simulate``, injects the monolith by monkeypatching the engine's
+construction-time names.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import pickle
-import sys
-from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))
-from _legacy_gmmu import GMMU as LegacyGMMU  # noqa: E402
-
-import repro.engine.simulator as simulator_module  # noqa: E402
-from repro.config import SimConfig  # noqa: E402
-from repro.harness.baselines import build_setup  # noqa: E402
-from repro.harness.cache import _PICKLE_PROTOCOL  # noqa: E402
-from repro.obs import Observability, write_jsonl  # noqa: E402
-from repro.workloads.suite import make_workload  # noqa: E402
+from helpers import result_bytes, simulate
+from repro.config import SimConfig
+from repro.obs import Observability, write_jsonl
 
 #: The paper's policy families: LRU (baseline), HPE, MHPE alone, full CPPE.
 SETUPS = ["baseline", "hpe", "mhpe-naive", "cppe"]
@@ -39,28 +27,6 @@ RATES = [None, 0.75, 0.5]
 #: One app per regularity regime: NW (strided thrasher, pattern-prefetch
 #: target), SRD (MRU-friendly regular), BFS (irregular).
 APPS = ["NW", "SRD", "BFS"]
-SCALE = 0.25
-
-
-def _run(app, setup, rate, monkeypatch, legacy, obs=None, config=None):
-    """One simulation through the public Simulator, staged or legacy."""
-    if legacy:
-        monkeypatch.setattr(simulator_module, "MemorySystem", LegacyGMMU)
-    else:
-        monkeypatch.undo()
-    workload = make_workload(app, scale=SCALE)
-    policy, prefetcher = build_setup(setup)
-    sim = simulator_module.Simulator(
-        workload,
-        policy=policy,
-        prefetcher=prefetcher,
-        oversubscription=rate,
-        config=config,
-        obs=obs,
-    )
-    memory_cls = type(sim.gmmu)
-    assert (memory_cls is LegacyGMMU) == legacy, memory_cls
-    return sim.run()
 
 
 class TestByteIdenticalResults:
@@ -68,11 +34,9 @@ class TestByteIdenticalResults:
     @pytest.mark.parametrize("rate", RATES)
     @pytest.mark.parametrize("app", APPS)
     def test_result_bytes_match_monolith(self, app, setup, rate, monkeypatch):
-        staged = _run(app, setup, rate, monkeypatch, legacy=False)
-        legacy = _run(app, setup, rate, monkeypatch, legacy=True)
-        assert pickle.dumps(staged, protocol=_PICKLE_PROTOCOL) == pickle.dumps(
-            legacy, protocol=_PICKLE_PROTOCOL
-        )
+        staged = simulate(app, setup, rate, monkeypatch, legacy=False)
+        legacy = simulate(app, setup, rate, monkeypatch, legacy=True)
+        assert result_bytes(staged) == result_bytes(legacy)
 
     def test_crash_outcome_matches_monolith(self, monkeypatch):
         # The runaway-thrashing crash model lives in the EvictionService now;
@@ -81,12 +45,10 @@ class TestByteIdenticalResults:
         config = base.with_(
             uvm=dataclasses.replace(base.uvm, crash_eviction_budget_factor=0.5)
         )
-        staged = _run("NW", "baseline", 0.5, monkeypatch, False, config=config)
-        legacy = _run("NW", "baseline", 0.5, monkeypatch, True, config=config)
+        staged = simulate("NW", "baseline", 0.5, monkeypatch, False, config=config)
+        legacy = simulate("NW", "baseline", 0.5, monkeypatch, True, config=config)
         assert staged.crashed and legacy.crashed
-        assert pickle.dumps(staged, protocol=_PICKLE_PROTOCOL) == pickle.dumps(
-            legacy, protocol=_PICKLE_PROTOCOL
-        )
+        assert result_bytes(staged) == result_bytes(legacy)
 
 
 class TestByteIdenticalTraces:
@@ -96,9 +58,9 @@ class TestByteIdenticalTraces:
         self, setup, rate, monkeypatch, tmp_path
     ):
         obs_a = Observability.enabled_()
-        _run("NW", setup, rate, monkeypatch, legacy=False, obs=obs_a)
+        simulate("NW", setup, rate, monkeypatch, legacy=False, obs=obs_a)
         obs_b = Observability.enabled_()
-        _run("NW", setup, rate, monkeypatch, legacy=True, obs=obs_b)
+        simulate("NW", setup, rate, monkeypatch, legacy=True, obs=obs_b)
         staged_path = write_jsonl(obs_a.tracer.events, tmp_path / "staged.jsonl")
         legacy_path = write_jsonl(obs_b.tracer.events, tmp_path / "legacy.jsonl")
         staged_bytes = staged_path.read_bytes()
@@ -109,7 +71,7 @@ class TestByteIdenticalTraces:
         # Counters/histograms moved into the stages; names, registration
         # order and values must survive the move.
         obs_a = Observability.enabled_()
-        _run("NW", "cppe", 0.5, monkeypatch, legacy=False, obs=obs_a)
+        simulate("NW", "cppe", 0.5, monkeypatch, legacy=False, obs=obs_a)
         obs_b = Observability.enabled_()
-        _run("NW", "cppe", 0.5, monkeypatch, legacy=True, obs=obs_b)
+        simulate("NW", "cppe", 0.5, monkeypatch, legacy=True, obs=obs_b)
         assert obs_a.metrics.snapshot() == obs_b.metrics.snapshot()
