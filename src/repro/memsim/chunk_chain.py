@@ -22,7 +22,9 @@ whole gap below it.  The lists grow in place at either end (``extend``
 high, ``lst[:0] = ...`` low) so the fused hot loops in
 :mod:`repro.memsim.system` and :mod:`repro.engine.sm` may hoist them.
 Policies see :class:`ChunkHandle` views, which keep the object-shaped
-:class:`ChunkEntry` interface over one slot.
+:class:`ChunkEntry` interface over one slot.  Eviction candidates come as a
+:class:`Candidates` sequence that walks the slot lists lazily, so victim
+selection stops after the entries it needs.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Iterator, List, Optional
 
 from ..errors import SimulationError
 
-__all__ = ["ChunkEntry", "ChunkHandle", "ChunkChain"]
+__all__ = ["ChunkEntry", "ChunkHandle", "ChunkChain", "Candidates"]
 
 #: Slack added when the slot lists must grow, so growth is amortised
 #: instead of per-chunk.
@@ -415,35 +417,7 @@ class ChunkChain:
             yield self._handle(li)
             cid = prv
 
-    def old_partition_from_head(self, current_interval: int) -> Iterator[ChunkEntry]:
-        """Old-partition entries, LRU-most first."""
-        for entry in self.from_head():
-            if entry.partition(current_interval) == "old":
-                yield entry
-
-    def old_partition_from_tail(self, current_interval: int) -> Iterator[ChunkEntry]:
-        """Old-partition entries, MRU-most first."""
-        for entry in self.from_tail():
-            if entry.partition(current_interval) == "old":
-                yield entry
-
-    def _partitioned(
-        self, entries: Iterator[ChunkEntry], current_interval: int
-    ) -> List[ChunkEntry]:
-        old: List[ChunkEntry] = []
-        middle: List[ChunkEntry] = []
-        new: List[ChunkEntry] = []
-        for entry in entries:
-            part = entry.partition(current_interval)
-            if part == "old":
-                old.append(entry)
-            elif part == "middle":
-                middle.append(entry)
-            else:
-                new.append(entry)
-        return old + middle + new
-
-    def candidates_from_tail(self, current_interval: int) -> List[ChunkEntry]:
+    def candidates_from_tail(self, current_interval: int) -> "Candidates":
         """Eviction candidates: old partition first (MRU-first within each
         partition), then middle, then new.
 
@@ -451,9 +425,64 @@ class ChunkChain:
         evict *something* when the old partition cannot cover a request, so
         younger partitions follow in priority order.
         """
-        return self._partitioned(self.from_tail(), current_interval)
+        return Candidates(self, current_interval, from_head=False)
 
-    def candidates_from_head(self, current_interval: int) -> List[ChunkEntry]:
+    def candidates_from_head(self, current_interval: int) -> "Candidates":
         """Eviction candidates: old partition first (LRU-first within each
         partition), then middle, then new."""
-        return self._partitioned(self.from_head(), current_interval)
+        return Candidates(self, current_interval, from_head=True)
+
+
+class Candidates:
+    """A chain's eviction candidates as a sized, lazily walked sequence.
+
+    ``len()`` is the chain length (every entry is a candidate); each
+    ``iter()`` starts a fresh walk.  A walk holds slot indices, so the
+    chain must not change while one is in progress: policies consume their
+    selection into a victim list before the first eviction.
+    """
+
+    __slots__ = ("_chain", "_interval", "_from_head")
+
+    def __init__(
+        self, chain: ChunkChain, current_interval: int, from_head: bool
+    ) -> None:
+        self._chain = chain
+        self._interval = current_interval
+        self._from_head = from_head
+
+    def __len__(self) -> int:
+        return len(self._chain)
+
+    def __iter__(self) -> Iterator[ChunkEntry]:
+        """One walk in priority order: an old-partition entry is yielded as
+        soon as the walk meets it; middle and new slots are kept and
+        yielded after the walk, middle first.
+
+        Reads straight from the slot lists, so a consumer that stops early
+        pays only for the entries walked.  The next link is read before
+        yielding, as in :meth:`ChunkChain.from_head`.
+        """
+        chain = self._chain
+        lref = chain._lref
+        links = chain._nxt if self._from_head else chain._prv
+        origin = chain._origin
+        handle = chain._handle
+        middle_interval = self._interval - 1
+        middle: List[int] = []
+        new: List[int] = []
+        cid = chain._first if self._from_head else chain._last
+        while cid >= 0:
+            li = cid - origin
+            cid = links[li]
+            ref = lref[li]
+            if ref < middle_interval:
+                yield handle(li)
+            elif ref == middle_interval:
+                middle.append(li)
+            else:
+                new.append(li)
+        for li in middle:
+            yield handle(li)
+        for li in new:
+            yield handle(li)

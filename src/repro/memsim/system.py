@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Deque, Dict, List, Optional, Set
+from typing import Deque, Dict, KeysView, List, Optional, Set, Tuple
 
 from ..config import SimConfig, UVMConfig
 from ..engine.events import EventQueue
@@ -371,6 +371,18 @@ class EvictionService:
         self._memory_full_seen = False
         self._footprint_pages = footprint_pages
         self._m_evictions = obs.metrics.counter("gmmu.chunks_evicted")
+        if translation is not None:
+            # The TLB set dicts are built once and never replaced (the SM
+            # loop hoists them too), so their key views stay live.  Per L1
+            # set index: (set dict, its keys view) for every SM.
+            l1_tlbs = translation.l1_tlbs
+            self._l1_num = l1_tlbs[0]._num_sets if l1_tlbs else 1
+            self._l1_views: List[List[Tuple[Dict[int, None], KeysView[int]]]] = [
+                [(t._sets[i], t._sets[i].keys()) for t in l1_tlbs]
+                for i in range(self._l1_num)
+            ]
+            self._l2_sets = translation.l2_tlb._sets
+            self._l2_num = translation.l2_tlb._num_sets
 
     def ensure_capacity(self, frames_needed: int, time: int) -> int:
         """Evict chunks until ``frames_needed`` frames are free.
@@ -401,8 +413,9 @@ class EvictionService:
     def evict_chunk(self, entry: ChunkEntry, time: int) -> None:
         """Unmap every resident page of ``entry`` and retire its metadata.
 
-        Walks the resident mask over the flat page-table lists, with the
-        device free and the TLB shootdown inlined.
+        Walks the resident mask over the flat page-table lists with the
+        device free inlined, then shoots the chunk's pages down in one
+        pass (:meth:`_shoot_down`).
         """
         ppc = self.uvm.pages_per_chunk
         chain = self.chain
@@ -422,16 +435,9 @@ class EvictionService:
         drt = pt._dirty
         device = self.device
         free_append = device._free.append
-        translation = self.translation
-        if translation is not None:
-            l1_sets_all = [t._sets for t in translation.l1_tlbs]
-            l1_num = translation.l1_tlbs[0]._num_sets if l1_sets_all else 1
-            l2 = translation.l2_tlb
-            l2_sets = l2._sets
-            l2_num = l2._num_sets
-        shootdowns = 0
+        vpns: List[int] = []
+        vpns_append = vpns.append
         dirty_pages = 0
-        evicted_pages = 0
         m = res_mask
         while m:  # ascending page order
             low = m & -m
@@ -445,20 +451,12 @@ class EvictionService:
             free_append(frame)
             if drt[idx]:
                 dirty_pages += 1
-            evicted_pages += 1
-            if translation is not None:
-                hit = False
-                for sets in l1_sets_all:
-                    s = sets[vpn % l1_num]
-                    if vpn in s:
-                        del s[vpn]
-                        hit = True
-                s2 = l2_sets[vpn % l2_num]
-                if vpn in s2:
-                    del s2[vpn]
-                    hit = True
-                if hit:
-                    shootdowns += 1
+            vpns_append(vpn)
+        evicted_pages = len(vpns)
+        if self.translation is not None and vpns:
+            shootdowns = self._shoot_down(vpns)
+            if shootdowns:
+                self.stats.tlb_shootdowns += shootdowns
         chain._res[li] = 0
         pt._resident -= evicted_pages
         device._allocated -= evicted_pages
@@ -467,8 +465,6 @@ class EvictionService:
                 f"double free: evicting chunk {cid} returned {evicted_pages} "
                 "frames the allocator had not handed out"
             )
-        if shootdowns:
-            self.stats.tlb_shootdowns += shootdowns
         chain.remove(cid)
         self.stats.chunks_evicted += 1
         self.stats.pages_evicted += evicted_pages
@@ -508,6 +504,41 @@ class EvictionService:
             time=time,
         )
         self._check_crash_budget()
+
+    def _shoot_down(self, vpns: List[int]) -> int:
+        """Invalidate one chunk's evicted ``vpns`` in every TLB.
+
+        L1: one C-level intersection of the vpns mapping to a set index
+        with each SM's set (through the keys views), then deletion of the
+        keys found.  Deleting keys leaves a dict's remaining order unchanged
+        whatever the deletion order, so every set's LRU order matches
+        page-by-page invalidation.  L2: one probe per page.  Returns the
+        number of vpns that were cached anywhere (the shootdowns).
+        """
+        l1_num = self._l1_num
+        if l1_num == 1:
+            groups = [(self._l1_views[0], set(vpns))]
+        else:
+            by_set: Dict[int, Set[int]] = {}
+            for vpn in vpns:
+                by_set.setdefault(vpn % l1_num, set()).add(vpn)
+            groups = [(self._l1_views[i], g) for i, g in by_set.items()]
+        hits: Set[int] = set()
+        for views, group in groups:
+            for tlb_set, keys in views:
+                found = keys & group
+                if found:
+                    for vpn in found:
+                        del tlb_set[vpn]
+                    hits |= found
+        l2_sets = self._l2_sets
+        l2_num = self._l2_num
+        for vpn in vpns:
+            s2 = l2_sets[vpn % l2_num]
+            if vpn in s2:
+                del s2[vpn]
+                hits.add(vpn)
+        return len(hits)
 
     def _check_crash_budget(self) -> None:
         factor = self.uvm.crash_eviction_budget_factor

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Protocol
+from typing import Iterable, List, Protocol
 
 from ..config import SimConfig
 from ..engine.stats import IntervalRecord, SimStats
@@ -135,21 +135,23 @@ class EvictionPolicy:
     # --- shared helpers -----------------------------------------------------
 
     def _take_until_enough(
-        self, ordered: List[ChunkEntry], frames_needed: int
+        self, ordered: Iterable[ChunkEntry], frames_needed: int
     ) -> List[ChunkEntry]:
-        """Take a prefix of ``ordered`` covering ``frames_needed`` frames."""
+        """Take the shortest prefix of ``ordered`` covering ``frames_needed``
+        frames, drawing no entry past it (``ordered`` may be a lazy walk)."""
         victims: List[ChunkEntry] = []
+        if frames_needed <= 0:
+            return victims
         freed = 0
         for entry in ordered:
-            if freed >= frames_needed:
-                break
-            if entry.resident_pages == 0:
+            pages = entry.resident_pages
+            if pages == 0:
                 continue
             victims.append(entry)
-            freed += entry.resident_pages
-        if freed < frames_needed:
-            raise SimulationError(
-                f"{self.name}: cannot free {frames_needed} frames; only "
-                f"{freed} evictable (chain length {len(self.ctx.chain)})"
-            )
-        return victims
+            freed += pages
+            if freed >= frames_needed:
+                return victims
+        raise SimulationError(
+            f"{self.name}: cannot free {frames_needed} frames; only "
+            f"{freed} evictable (chain length {len(self.ctx.chain)})"
+        )

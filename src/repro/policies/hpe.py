@@ -23,7 +23,7 @@ HPE misclassifying prefetch-heavy runs.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List
+from typing import Deque, Iterable, Iterator, List
 
 from ..engine.stats import IntervalRecord
 from ..memsim.chunk_chain import ChunkEntry
@@ -144,15 +144,23 @@ class HPEPolicy(EvictionPolicy):
 
     def select_victims(self, frames_needed: int, time: int) -> List[ChunkEntry]:
         interval = self.ctx.clock.current_interval
+        ordered: Iterable[ChunkEntry]
         if self._strategy == "mru-c":
             ordered = self._mru_c_order(interval)
         else:
             ordered = self.ctx.chain.candidates_from_head(interval)
         return self._take_until_enough(ordered, frames_needed)
 
-    def _mru_c_order(self, interval: int) -> List[ChunkEntry]:
-        """MRU-C: qualified chunks MRU-first, then the rest MRU-first."""
-        candidates = self.ctx.chain.candidates_from_tail(interval)
-        qualified = [e for e in candidates if e.counter >= self._qualify_threshold]
-        rest = [e for e in candidates if e.counter < self._qualify_threshold]
-        return qualified + rest
+    def _mru_c_order(self, interval: int) -> Iterator[ChunkEntry]:
+        """MRU-C: qualified chunks MRU-first, then the rest MRU-first.
+
+        Qualified chunks are yielded as the candidate walk meets them; the
+        rest wait until the walk ends."""
+        threshold = self._qualify_threshold
+        rest: List[ChunkEntry] = []
+        for entry in self.ctx.chain.candidates_from_tail(interval):
+            if entry.counter >= threshold:
+                yield entry
+            else:
+                rest.append(entry)
+        yield from rest

@@ -26,5 +26,4 @@ class LRUPolicy(EvictionPolicy):
         entry.last_ref_interval = self.ctx.clock.current_interval
 
     def select_victims(self, frames_needed: int, time: int) -> List[ChunkEntry]:
-        ordered = list(self.ctx.chain.from_head())
-        return self._take_until_enough(ordered, frames_needed)
+        return self._take_until_enough(self.ctx.chain.from_head(), frames_needed)

@@ -28,8 +28,9 @@ Differences from HPE, as specified by the paper:
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
-from typing import Deque, Dict, List, Optional, Set
+from typing import Deque, Dict, Iterable, List, Optional, Set
 
 from ..config import MHPEConfig
 from ..engine.stats import IntervalRecord
@@ -242,10 +243,15 @@ class MHPEPolicy(EvictionPolicy):
 
     def select_victims(self, frames_needed: int, time: int) -> List[ChunkEntry]:
         interval = self.ctx.clock.current_interval
+        ordered: Iterable[ChunkEntry]
         if self.strategy == "lru":
             ordered = self.ctx.chain.candidates_from_head(interval)
         else:
+            # MRU at the forward distance: candidates past the first
+            # ``skip``, then the skipped ones (they wrap to the end).
             candidates = self.ctx.chain.candidates_from_tail(interval)
             skip = min(self.forward_distance, max(0, len(candidates) - 1))
-            ordered = candidates[skip:] + candidates[:skip]
+            walk = iter(candidates)
+            skipped = list(itertools.islice(walk, skip))
+            ordered = itertools.chain(walk, skipped)
         return self._take_until_enough(ordered, frames_needed)

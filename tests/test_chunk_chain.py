@@ -6,7 +6,12 @@ from repro.engine.simulator import Simulator
 from repro.errors import SimulationError
 from repro.harness.baselines import build_setup
 from repro.memsim.chunk_chain import _PAD_CHUNKS, ChunkChain, ChunkEntry
+from repro.policies.hpe import HPEPolicy
+from repro.policies.lru import LRUPolicy
+from repro.policies.mhpe import MHPEPolicy
 from repro.workloads.suite import make_workload
+
+from helpers import IntervalClock, attach_policy, populate
 
 
 def chain_with(ids, interval=0):
@@ -121,19 +126,20 @@ class TestPartitionedCandidates:
             chain.insert_tail(ChunkEntry(cid, interval))
         return chain
 
-    def test_old_partition_iterators(self):
-        chain = self._mixed_chain()
-        assert [e.chunk_id for e in chain.old_partition_from_head(5)] == [1, 2]
-        assert [e.chunk_id for e in chain.old_partition_from_tail(5)] == [2, 1]
-
     def test_candidates_from_tail_priority(self):
         chain = self._mixed_chain()
         # Old first (MRU-first), then middle, then new.
-        assert [e.chunk_id for e in chain.candidates_from_tail(5)] == [2, 1, 3, 4]
+        ordered = list(chain.candidates_from_tail(5))
+        assert [e.chunk_id for e in ordered] == [2, 1, 3, 4]
+        assert [e.partition(5) for e in ordered[:2]] == ["old", "old"]
+        assert ordered[2].partition(5) != "old"
 
     def test_candidates_from_head_priority(self):
         chain = self._mixed_chain()
-        assert [e.chunk_id for e in chain.candidates_from_head(5)] == [1, 2, 3, 4]
+        ordered = list(chain.candidates_from_head(5))
+        assert [e.chunk_id for e in ordered] == [1, 2, 3, 4]
+        assert [e.partition(5) for e in ordered[:2]] == ["old", "old"]
+        assert ordered[2].partition(5) != "old"
 
     def test_all_new_falls_back(self):
         chain = chain_with([1, 2, 3], interval=5)
@@ -141,8 +147,73 @@ class TestPartitionedCandidates:
 
     def test_empty_chain(self):
         chain = ChunkChain()
-        assert chain.candidates_from_tail(0) == []
-        assert chain.candidates_from_head(0) == []
+        for candidates in (chain.candidates_from_tail(0),
+                           chain.candidates_from_head(0)):
+            assert list(candidates) == []
+            assert len(candidates) == 0
+
+
+class TestEarlyExit:
+    """Victim selection walks only as far as the victims it needs."""
+
+    CHUNKS = 1000
+    #: Entries a selection may read beyond its skip distance.
+    SLACK = 4
+
+    def _policy_on_old_chain(self, policy, counter=0):
+        clock = IntervalClock(0)
+        chain, _, _ = attach_policy(policy, interval=clock)
+        for entry in populate(policy, list(range(self.CHUNKS))):
+            entry.counter = counter
+        clock.value = 10  # every chunk is now in the old partition
+        return chain
+
+    def _handles_read(self, monkeypatch, policy, frames=16):
+        calls = []
+        handle = ChunkChain._handle
+
+        def counting(chain, li):
+            calls.append(li)
+            return handle(chain, li)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ChunkChain, "_handle", counting)
+            victims = policy.select_victims(frames, time=0)
+        return victims, len(calls)
+
+    def test_lru(self, monkeypatch):
+        policy = LRUPolicy()
+        self._policy_on_old_chain(policy)
+        victims, reads = self._handles_read(monkeypatch, policy)
+        assert [v.chunk_id for v in victims] == [0]
+        assert reads <= self.SLACK
+
+    @pytest.mark.parametrize("strategy", ["mru", "lru"])
+    def test_mhpe(self, monkeypatch, strategy):
+        policy = MHPEPolicy()
+        chain = self._policy_on_old_chain(policy)
+        assert len(chain.candidates_from_tail(10)) == len(chain) == self.CHUNKS
+        policy.strategy = strategy
+        policy.forward_distance = 32
+        victims, reads = self._handles_read(monkeypatch, policy)
+        if strategy == "mru":
+            assert [v.chunk_id for v in victims] == [self.CHUNKS - 1 - 32]
+            assert reads <= 32 + self.SLACK
+        else:
+            assert [v.chunk_id for v in victims] == [0]
+            assert reads <= self.SLACK
+
+    @pytest.mark.parametrize("strategy", ["mru-c", "lru"])
+    def test_hpe(self, monkeypatch, strategy):
+        policy = HPEPolicy()
+        # Saturated counters qualify every chunk for MRU-C.
+        self._policy_on_old_chain(policy, counter=16)
+        assert policy._qualify_threshold <= 16
+        policy._strategy = strategy
+        victims, reads = self._handles_read(monkeypatch, policy)
+        expected = self.CHUNKS - 1 if strategy == "mru-c" else 0
+        assert [v.chunk_id for v in victims] == [expected]
+        assert reads <= self.SLACK
 
 
 class TestOriginAnchor:

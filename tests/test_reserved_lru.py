@@ -29,7 +29,13 @@ class TestReservation:
         populate(policy, [1, 2])
         # Need both chunks: the reservation must yield.
         victims = policy.select_victims(32, 0)
-        assert {v.chunk_id for v in victims} == {1, 2}
+        assert [v.chunk_id for v in victims] == [2, 1]
+        # The reserve is entered from its boundary back towards the head.
+        policy = ReservedLRUPolicy(0.5)
+        attach_policy(policy)
+        populate(policy, [1, 2, 3, 4])
+        victims = policy.select_victims(48, 0)
+        assert [v.chunk_id for v in victims] == [3, 4, 2]
 
     def test_touch_refreshes_recency(self):
         policy = ReservedLRUPolicy(0.0)

@@ -18,11 +18,12 @@ import dataclasses
 import pytest
 
 from helpers import result_bytes, simulate
-from repro.config import SimConfig
+from repro.config import SimConfig, TLBConfig
 from repro.obs import Observability, write_jsonl
 
-#: The paper's policy families: LRU (baseline), HPE, MHPE alone, full CPPE.
-SETUPS = ["baseline", "hpe", "mhpe-naive", "cppe"]
+#: The paper's policy families: LRU (baseline), HPE, MHPE alone, full CPPE,
+#: and reserved LRU (LRU-20%).
+SETUPS = ["baseline", "hpe", "mhpe-naive", "cppe", "lru-20"]
 RATES = [None, 0.75, 0.5]
 #: One app per regularity regime: NW (strided thrasher, pattern-prefetch
 #: target), SRD (MRU-friendly regular), BFS (irregular).
@@ -48,6 +49,25 @@ class TestByteIdenticalResults:
         staged = simulate("NW", "baseline", 0.5, monkeypatch, False, config=config)
         legacy = simulate("NW", "baseline", 0.5, monkeypatch, True, config=config)
         assert staged.crashed and legacy.crashed
+        assert result_bytes(staged) == result_bytes(legacy)
+
+    @pytest.mark.parametrize("app", ["NW", "BFS"])
+    def test_set_associative_l1_matches_monolith(self, app, monkeypatch):
+        # The eviction service shoots a chunk's pages down per L1 set index;
+        # the monolith invalidates page by page.  An 8-way L1 spreads one
+        # chunk's pages over several sets.  NW evicts pages that only the
+        # L2 still caches (the shootdown count must include them); BFS
+        # re-hits its L1 entries, so an L1 entry the shootdown missed would
+        # be hit after its page left.
+        base = SimConfig()
+        config = base.with_(
+            translation=dataclasses.replace(
+                base.translation, l1=TLBConfig(entries=128, associativity=8)
+            )
+        )
+        staged = simulate(app, "cppe", 0.5, monkeypatch, False, config=config)
+        legacy = simulate(app, "cppe", 0.5, monkeypatch, True, config=config)
+        assert staged.stats.tlb_shootdowns > 0
         assert result_bytes(staged) == result_bytes(legacy)
 
 
