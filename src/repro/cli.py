@@ -134,11 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--scale", type=float, default=1.0,
                        help="footprint scale factor")
     run_p.add_argument("--seed", type=int, default=None)
-    run_p.add_argument(
-        "--instances", type=int, default=1,
-        help="shard the workload across N independent MemorySystem "
-             "instances on one event queue (multi-GPU smoke scenario)",
-    )
     run_p.add_argument("--json", action="store_true",
                        help="emit the stats summary as JSON")
     run_p.add_argument(
@@ -364,16 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--no-cache", action="store_true",
                          help="bypass the persistent result cache")
     serve_p.add_argument(
-        "--rate-per-s", type=float, default=0.0,
-        help="sustained submissions/second (token bucket; 0 = unlimited)",
-    )
-    serve_p.add_argument("--burst", type=int, default=20,
-                         help="token-bucket burst size (default: 20)")
-    serve_p.add_argument(
-        "--tenant-cap", type=int, default=0,
-        help="max queued+running jobs per tenant (0 = unlimited)",
-    )
-    serve_p.add_argument(
         "--timeout-s", type=float, default=None,
         help="reap a batch's workers after this long without progress",
     )
@@ -451,8 +436,7 @@ def _cmd_list() -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     rate = None if args.rate >= 1.0 else args.rate
     result = run_one(
-        RunSpec(args.app, args.setup, rate, scale=args.scale, seed=args.seed,
-                instances=args.instances),
+        RunSpec(args.app, args.setup, rate, scale=args.scale, seed=args.seed),
     )
     if args.json:
         payload = {
@@ -884,9 +868,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             state_dir=args.state_dir,
             jobs=args.jobs,
             use_cache=not args.no_cache,
-            rate_capacity=args.burst,
-            rate_refill_per_s=args.rate_per_s,
-            tenant_cap=args.tenant_cap,
             fault_retries=args.retries,
             spec_timeout_s=args.timeout_s,
         )

@@ -73,9 +73,10 @@ __all__ = [
     "CallGraph",
 ]
 
-#: Bumped whenever the summary shape changes; cache entries written by a
-#: different version are ignored (recomputed), never migrated.
-SUMMARY_VERSION = 2
+#: Bumped whenever the summary shape or the extraction changes; cache
+#: entries written by a different version are ignored (recomputed), never
+#: migrated.
+SUMMARY_VERSION = 3
 
 #: Call-target marker for an unresolved method invocation (``x.foo()`` with
 #: unknown receiver type): resolved at link time via the method-name index.
@@ -653,18 +654,36 @@ class _FunctionWalker:
             for target in node.targets:
                 self._visit_delete(target)
 
+    def _visit_callback(self, arg: ast.expr) -> None:
+        """Callback references passed as arguments keep the seam closed
+        (pool.submit(_pool_entry, ...), table values, progress hooks, and
+        bound methods such as ``events.schedule(t, self._run)``, also as
+        either branch of a conditional expression)."""
+        if isinstance(arg, ast.IfExp):
+            self._visit_callback(arg.body)
+            self._visit_callback(arg.orelse)
+            return
+        if (
+            isinstance(arg, ast.Attribute)
+            and isinstance(arg.value, ast.Name)
+            and arg.value.id == "self"
+            and self.own_class is not None
+        ):
+            # The same edge a ``self.<name>()`` call records.
+            self._add_call(self.module + "." + self.own_class + "." + arg.attr)
+            return
+        target = _dotted(arg) if isinstance(arg, (ast.Name, ast.Attribute)) else None
+        if target is not None:
+            head = target.split(".")[0]
+            if head in self.local_defs or head in self.imports.names:
+                resolved = self._resolve_callable(target)
+                if resolved and "." in resolved:
+                    self._add_call(resolved)
+
     def _visit_call(self, node: ast.Call, local_ctor_types: Dict[str, str]) -> None:
         func = node.func
-        # Callback references passed as arguments keep the seam closed
-        # (pool.submit(_pool_entry, ...), table values, progress hooks).
         for arg in list(node.args) + [kw.value for kw in node.keywords]:
-            target = _dotted(arg) if isinstance(arg, (ast.Name, ast.Attribute)) else None
-            if target is not None:
-                head = target.split(".")[0]
-                if head in self.local_defs or head in self.imports.names:
-                    resolved = self._resolve_callable(target)
-                    if resolved and "." in resolved:
-                        self._add_call(resolved)
+            self._visit_callback(arg)
 
         if isinstance(func, ast.Name):
             resolved = self._resolve_callable(func.id)

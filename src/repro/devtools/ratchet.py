@@ -54,7 +54,6 @@ MYPY_ALLOWLIST_BASELINE: FrozenSet[str] = frozenset(
         "repro.memsim.device_memory",
         "repro.memsim.dram",
         "repro.memsim.fault",
-        "repro.memsim.gmmu",
         "repro.memsim.page_table",
         "repro.memsim.pcie",
         "repro.memsim.system",

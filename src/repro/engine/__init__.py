@@ -4,7 +4,6 @@ from .events import Event, EventQueue
 from .stats import IntervalRecord, SimStats
 from .sm import StreamingMultiprocessor
 from .simulator import Simulator, SimulationResult
-from .multi import ShardedSimulator
 
 __all__ = [
     "Event",
@@ -14,5 +13,4 @@ __all__ = [
     "StreamingMultiprocessor",
     "Simulator",
     "SimulationResult",
-    "ShardedSimulator",
 ]

@@ -30,7 +30,6 @@ from ..engine.events import Event, EventQueue
 from ..engine.stats import SimStats
 from ..errors import SimulationError
 from ..memsim.fault import FarFault
-from ..memsim.gmmu import GMMU
 from ..memsim.system import MemorySystem
 from ..translation.hierarchy import TranslationHierarchy
 
@@ -46,7 +45,7 @@ class StreamingMultiprocessor:
         trace: np.ndarray,
         writes: Optional[np.ndarray],
         config: SimConfig,
-        gmmu: GMMU,
+        gmmu: MemorySystem,
         translation: Optional[TranslationHierarchy],
         events: EventQueue,
         stats: SimStats,

@@ -66,39 +66,6 @@ class ServiceError(HarnessError):
     http_status = 500
 
 
-class RateLimited(ServiceError):
-    """A submission exceeded the service's token-bucket rate limit."""
-
-    http_status = 429
-
-    def __init__(self, retry_after_s: float):
-        super().__init__(
-            f"rate limit exceeded; retry after {retry_after_s:.2f}s"
-        )
-        self.retry_after_s = retry_after_s
-
-    def __reduce__(self):
-        return (RateLimited, (self.retry_after_s,))
-
-
-class AdmissionDenied(ServiceError):
-    """A tenant exceeded its cap of queued/running jobs."""
-
-    http_status = 429
-
-    def __init__(self, tenant: str, active: int, cap: int):
-        super().__init__(
-            f"tenant {tenant!r} has {active} active job(s), cap is {cap}; "
-            "wait for one to finish"
-        )
-        self.tenant = tenant
-        self.active = active
-        self.cap = cap
-
-    def __reduce__(self):
-        return (AdmissionDenied, (self.tenant, self.active, self.cap))
-
-
 class UnknownJob(ServiceError):
     """A batch/job id that the service has no record of."""
 

@@ -89,15 +89,6 @@ class FingerprintElision:
 #: documents an entire object that never reaches the cache key.
 FINGERPRINT_ELISIONS: Tuple[FingerprintElision, ...] = (
     FingerprintElision(
-        dataclass_name="RunSpec",
-        field="instances",
-        reason=(
-            "elided only at its backwards-compatible default (1, the classic "
-            "single-GPU run) so adding the knob did not orphan previously "
-            "cached entries; any non-default value still enters the payload"
-        ),
-    ),
-    FingerprintElision(
         dataclass_name="ObsConfig",
         field="*",
         reason=(
@@ -139,16 +130,10 @@ def spec_fingerprint(
     """Cache key: sha256 over RunSpec fields + SimConfig fields + schema.
 
     Whole-object hashing via ``dataclasses.asdict`` (REPRO201): every spec
-    field reaches the hash by construction.  The one refinement: extension
-    fields at their backwards-compatible default are elided, so adding a
-    scenario knob (``instances=1`` — the classic single-GPU run) does not
-    orphan every previously cached entry.  Any non-default value still
-    enters the payload and changes the key.
+    field reaches the hash by construction.
     """
     effective = config if config is not None else SimConfig()
     spec_fields = dataclasses.asdict(spec)
-    if spec_fields.get("instances") == 1:
-        del spec_fields["instances"]
     payload = {
         "schema": schema_version,
         "spec": spec_fields,

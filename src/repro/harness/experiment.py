@@ -53,12 +53,6 @@ class RunSpec:
     #: Enable the runaway-thrashing crash model with this eviction budget
     #: (multiples of the footprint's chunk count); None disables it.
     crash_budget_factor: Optional[float] = None
-    #: Shard the workload across this many independent MemorySystem
-    #: instances on one event queue (``repro.engine.multi``).  The default
-    #: of 1 is the classic single-GPU simulator and — so that a pure
-    #: refactor needs no cache schema bump — is elided from the disk-cache
-    #: fingerprint (see :func:`repro.harness.cache.spec_fingerprint`).
-    instances: int = 1
 
     def key(self) -> Tuple:
         return (
@@ -68,7 +62,6 @@ class RunSpec:
             self.scale,
             self.seed,
             self.crash_budget_factor,
-            self.instances,
         )
 
 
@@ -135,18 +128,6 @@ def _execute(
             )
         )
     workload = make_workload(spec.app, scale=spec.scale, seed=spec.seed)
-    if spec.instances > 1:
-        from ..engine.multi import ShardedSimulator  # deferred: rarely used
-
-        pairs = [build_setup(spec.setup) for _ in range(spec.instances)]
-        return ShardedSimulator(
-            workload,
-            policies=[p for p, _ in pairs],
-            prefetchers=[pf for _, pf in pairs],
-            oversubscription=spec.oversubscription,
-            config=cfg,
-            obs=obs,
-        ).run()
     policy, prefetcher = build_setup(spec.setup)
     return Simulator(
         workload,
@@ -170,8 +151,6 @@ def _spec_label(spec: RunSpec) -> str:
         label += f"/x{spec.scale:g}"
     if spec.seed is not None:
         label += f"/s{spec.seed}"
-    if spec.instances != 1:
-        label += f"/i{spec.instances}"
     return label
 
 

@@ -1,5 +1,5 @@
 """Unified-memory substrate: device memory, page table, chunk chain, and
-the staged MemorySystem pipeline (``GMMU`` is its back-compat alias)."""
+the staged MemorySystem pipeline."""
 
 from .address import chunk_of, chunk_base_vpn, chunk_vpns, page_index_in_chunk
 from .device_memory import DeviceMemory
@@ -15,7 +15,6 @@ from .system import (
     MemorySystem,
     MigrationScheduler,
 )
-from .gmmu import GMMU
 
 __all__ = [
     "MemorySystem",
@@ -35,5 +34,4 @@ __all__ = [
     "ChunkEntry",
     "FarFault",
     "InFlightMigration",
-    "GMMU",
 ]

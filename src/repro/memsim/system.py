@@ -1,7 +1,8 @@
 """The staged memory-system pipeline (GMMU + host-side UVM runtime).
 
-What used to be one god-object (``memsim.gmmu.GMMU``) is four explicit
-stages behind the :class:`MemorySystem` facade::
+What used to be one god-object (the monolithic ``GMMU``, kept frozen as the
+test oracle ``tests/_legacy_gmmu.py``) is four explicit stages behind the
+:class:`MemorySystem` facade::
 
     SM far fault
         │
@@ -16,9 +17,7 @@ stages behind the :class:`MemorySystem` facade::
 
 Stages communicate through narrow seams (the frontend's coverage map, the
 shared :class:`FrameLedger`, the clock's ``current_interval``), never by
-reaching into each other's internals — which is what makes multiple
-:class:`MemorySystem` instances on one event queue (multi-GPU scenarios,
-see ``repro.engine.multi``) expressible.
+reaching into each other's internals.
 
 The decomposition is behavior-preserving: ``tests/test_system_differential.py``
 proves byte-identical results and traces against the pre-refactor monolith.

@@ -1,6 +1,6 @@
 """Always-on experiment service: submit / queue / stream / serve.
 
-The one-shot CLI graduates to a long-running service here (ROADMAP item 2):
+The one-shot CLI graduates to a long-running service here:
 
 * :mod:`repro.service.wire` — JSON wire format: ``RunSpec`` / ``SimConfig``
   override parsing, result rendering, and the newline-delimited event
@@ -10,8 +10,6 @@ The one-shot CLI graduates to a long-running service here (ROADMAP item 2):
   :class:`~repro.service.jobs.JobQueue`, and the persistent
   :class:`~repro.service.jobs.JobStore` whose atomic JSON snapshots let a
   restarted service resume its queue;
-* :mod:`repro.service.ratelimit` — token-bucket rate limiting and
-  per-tenant admission caps;
 * :mod:`repro.service.scheduler` — the drain loop: jobs execute through
   :func:`repro.harness.experiment.submit_batch`, inheriting worker pools,
   fault tolerance and the persistent result cache (warm submissions come
@@ -27,7 +25,6 @@ The one-shot CLI graduates to a long-running service here (ROADMAP item 2):
 from .client import ServiceClient
 from .core import ExperimentService, ServiceConfig
 from .jobs import JOB_STATES, TERMINAL_STATES, Job, JobQueue, JobStore
-from .ratelimit import TenantAdmission, TokenBucket
 from .scheduler import Scheduler
 from .server import make_server, serve
 from .wire import (
@@ -48,8 +45,6 @@ __all__ = [
     "Job",
     "JobQueue",
     "JobStore",
-    "TokenBucket",
-    "TenantAdmission",
     "make_server",
     "serve",
     "spec_from_dict",

@@ -3,7 +3,7 @@
 :class:`ExperimentService` wires the pieces together — the persistent
 :class:`~repro.service.jobs.JobStore`, the prioritized
 :class:`~repro.service.jobs.JobQueue`, one per-job
-:class:`~repro.obs.bus.EventBus`, the admission gates and the
+:class:`~repro.obs.bus.EventBus` and the
 :class:`~repro.service.scheduler.Scheduler` thread — behind a small
 in-process API that the HTTP layer (:mod:`repro.service.server`) and the
 tests drive directly.  Nothing here knows about sockets.
@@ -31,7 +31,6 @@ from ..errors import InvalidJobRequest, ServiceError
 from ..harness.experiment import spec_label
 from ..obs import EventBus, Observability
 from .jobs import Job, JobQueue, JobStore
-from .ratelimit import TenantAdmission, TokenBucket
 from .scheduler import Scheduler
 from .wire import JSONDict, config_from_overrides, specs_from_payload, spec_to_dict
 
@@ -48,12 +47,6 @@ class ServiceConfig:
     jobs: int = 1
     #: Thread the persistent result cache through every batch.
     use_cache: bool = True
-    #: Token-bucket burst size for submissions.
-    rate_capacity: int = 20
-    #: Sustained submissions per second (<= 0 disables rate limiting).
-    rate_refill_per_s: float = 0.0
-    #: Max queued+running jobs per tenant (<= 0 disables the cap).
-    tenant_cap: int = 0
     #: Pool-rebuild retries per spec (see FaultTolerance.retries).
     fault_retries: int = 2
     #: Per-batch worker stall timeout (None = wait forever).
@@ -78,10 +71,6 @@ class ExperimentService:
         self._obs = obs
         self.store = JobStore(self.config.state_dir)
         self.queue = JobQueue()
-        self.bucket = TokenBucket(
-            self.config.rate_capacity, self.config.rate_refill_per_s
-        )
-        self.admission = TenantAdmission(self.config.tenant_cap)
         self._buses: Dict[str, EventBus] = {}
         self._bus_lock = threading.Lock()
         self.scheduler = Scheduler(
@@ -104,7 +93,6 @@ class ExperimentService:
         """Reload snapshots; re-queue unfinished jobs.  Returns them."""
         pending = self.store.load_all()
         for job in pending:
-            self.admission.admit(job.tenant)
             self.queue.push(job)
         return pending
 
@@ -136,7 +124,6 @@ class ExperimentService:
             return bus
 
     def _job_finished(self, job: Job) -> None:
-        self.admission.release(job.tenant)
         if self._obs is not None and self._obs.enabled:
             self._obs.metrics.counter("service/jobs_finished").inc()
 
@@ -188,8 +175,7 @@ class ExperimentService:
 
         ``payload``: ``{"specs": [...], "config": {...}, "tenant": str,
         "priority": int}`` (``config``/``tenant``/``priority`` optional).
-        Raises the :class:`~repro.errors.ServiceError` family on bad input,
-        rate limiting or admission denial.
+        Raises :class:`~repro.errors.InvalidJobRequest` on bad input.
         """
         if not isinstance(payload, Mapping):
             raise InvalidJobRequest("submission payload must be a JSON object")
@@ -210,25 +196,19 @@ class ExperimentService:
         if not isinstance(priority, int) or isinstance(priority, bool):
             raise InvalidJobRequest(f"'priority' must be an integer, got {priority!r}")
 
-        self.bucket.acquire()
-        self.admission.admit(tenant)
-        try:
-            job = Job(
-                job_id=f"b-{uuid.uuid4().hex[:12]}",
-                specs=specs,
-                tenant=tenant,
-                priority=priority,
-                overrides=dict(overrides) if overrides else None,
-                created_ts=self._clock(),
-                enqueue_seq=self.queue.reserve_seq(),
-            )
-            # Persist before pushing: the scheduler must never pop a job id
-            # the store cannot resolve.
-            self.store.save(job)
-            self.queue.push(job)
-        except BaseException:
-            self.admission.release(tenant)
-            raise
+        job = Job(
+            job_id=f"b-{uuid.uuid4().hex[:12]}",
+            specs=specs,
+            tenant=tenant,
+            priority=priority,
+            overrides=dict(overrides) if overrides else None,
+            created_ts=self._clock(),
+            enqueue_seq=self.queue.reserve_seq(),
+        )
+        # Persist before pushing: the scheduler must never pop a job id the
+        # store cannot resolve.
+        self.store.save(job)
+        self.queue.push(job)
         if self._obs is not None and self._obs.enabled:
             self._obs.metrics.counter("service/jobs_submitted").inc()
         self._bus_for(job.job_id).publish(

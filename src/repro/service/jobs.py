@@ -267,13 +267,12 @@ class JobStore:
         with self._lock:
             return sorted(self._jobs.values(), key=lambda j: j.enqueue_seq)
 
-    def counts(self, tenant: Optional[str] = None) -> Dict[str, int]:
-        """Jobs per state (optionally for one tenant)."""
+    def counts(self) -> Dict[str, int]:
+        """Jobs per state."""
         with self._lock:
             counts = {state: 0 for state in JOB_STATES}
             for job in self._jobs.values():
-                if tenant is None or job.tenant == tenant:
-                    counts[job.state] += 1
+                counts[job.state] += 1
             return counts
 
     def load_all(self) -> List[Job]:

@@ -4,7 +4,7 @@ Routes (all JSON; the event stream is newline-delimited JSON):
 
 * ``POST /batches`` — submit a batch; body ``{"specs": [...], "config":
   {...}, "tenant": "...", "priority": N}``.  201 with the job's status
-  view; 400 on a bad payload, 429 on rate-limit/admission denial.
+  view; 400 on a bad payload.
 * ``GET /batches`` — summaries of every known job.
 * ``GET /batches/<id>`` — one job's full status (specs, per-spec
   outcomes, results, ``BatchStats``).
@@ -29,7 +29,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple, Type
 from urllib.parse import parse_qs, urlparse
 
-from ..errors import InvalidJobRequest, RateLimited, ServiceError
+from ..errors import InvalidJobRequest, ServiceError
 from .core import ExperimentService
 from .wire import JSONDict
 
@@ -51,26 +51,17 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args: Any) -> None:
         pass  # quiet by default; the service has its own event stream
 
-    def _send_json(
-        self, status: int, payload: JSONDict, extra_headers: Tuple[Tuple[str, str], ...] = ()
-    ) -> None:
+    def _send_json(self, status: int, payload: JSONDict) -> None:
         body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        for name, value in extra_headers:
-            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
 
     def _send_error(self, exc: ServiceError) -> None:
-        headers: Tuple[Tuple[str, str], ...] = ()
-        if isinstance(exc, RateLimited):
-            headers = (("Retry-After", f"{exc.retry_after_s:.3f}"),)
         self._send_json(
-            exc.http_status,
-            {"error": str(exc), "type": type(exc).__name__},
-            headers,
+            exc.http_status, {"error": str(exc), "type": type(exc).__name__}
         )
 
     def _read_body(self) -> Any:

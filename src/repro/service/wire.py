@@ -43,7 +43,10 @@ __all__ = [
 
 JSONDict = Dict[str, Any]
 
-#: RunSpec fields accepted on the wire (and their JSON spelling).
+#: RunSpec fields accepted on the wire (and their JSON spelling), plus
+#: ``instances``: the retired multi-GPU field, which job snapshots written
+#: before its removal carry as ``1`` and which ``spec_from_dict`` accepts
+#: only at that value.
 _SPEC_FIELDS = (
     "app",
     "setup",
@@ -103,9 +106,10 @@ def spec_from_dict(raw: Mapping[str, Any]) -> RunSpec:
             f"spec.crash_budget_factor must be a positive number or null, got {cbf!r}"
         )
     instances = raw.get("instances", 1)
-    if not isinstance(instances, int) or isinstance(instances, bool) or instances < 1:
+    if not isinstance(instances, int) or isinstance(instances, bool) or instances != 1:
         raise InvalidJobRequest(
-            f"spec.instances must be an integer >= 1, got {instances!r}"
+            f"spec.instances is no longer supported; only 1 is accepted, "
+            f"got {instances!r}"
         )
     return RunSpec(
         app=app,
@@ -114,7 +118,6 @@ def spec_from_dict(raw: Mapping[str, Any]) -> RunSpec:
         scale=float(scale),
         seed=seed,
         crash_budget_factor=None if cbf is None else float(cbf),
-        instances=instances,
     )
 
 
@@ -127,7 +130,6 @@ def spec_to_dict(spec: RunSpec) -> JSONDict:
         "scale": spec.scale,
         "seed": spec.seed,
         "crash_budget_factor": spec.crash_budget_factor,
-        "instances": spec.instances,
     }
 
 

@@ -7,7 +7,6 @@ import pickle
 import random
 from typing import List
 
-import repro.engine.multi as multi_module
 import repro.engine.simulator as simulator_module
 from _legacy_gmmu import GMMU as LegacyGMMU
 from _legacy_structures import PageTable as LegacyPageTable
@@ -87,13 +86,13 @@ def _legacy_page_table(config, workload):
 
 
 def simulate(workload, setup, rate, monkeypatch, legacy, obs=None,
-             config=None, instances=1, scale=0.25):
-    """One simulation through the public Simulator (``instances > 1``: the
-    ShardedSimulator), on the production memory system or, with ``legacy``,
-    on the frozen monolith over the object-graph reference structures.
+             config=None, scale=0.25):
+    """One simulation through the public Simulator, on the production memory
+    system or, with ``legacy``, on the frozen monolith over the object-graph
+    reference structures.
 
     The monolith is injected by monkeypatching the ``MemorySystem`` and
-    ``build_page_table`` names the engine modules resolve at construction
+    ``build_page_table`` names the simulator module resolves at construction
     time, so both sides see the same constructor arguments and the same
     post-construction ``page_table`` installation: any divergence is a real
     behavioural difference, not harness noise.  ``workload`` is a suite app
@@ -103,26 +102,17 @@ def simulate(workload, setup, rate, monkeypatch, legacy, obs=None,
         workload = make_workload(workload, scale=scale)
     with monkeypatch.context() as patch:
         if legacy:
-            for module in (simulator_module, multi_module):
-                patch.setattr(module, "MemorySystem", LegacyGMMU)
-                patch.setattr(module, "build_page_table", _legacy_page_table)
-        pairs = [build_setup(setup) for _ in range(instances)]
-        if instances == 1:
-            sim = simulator_module.Simulator(
-                workload, policy=pairs[0][0], prefetcher=pairs[0][1],
-                oversubscription=rate, config=config, obs=obs,
-            )
-            systems = [sim.gmmu]
-        else:
-            sim = multi_module.ShardedSimulator(
-                workload, policies=[p for p, _ in pairs],
-                prefetchers=[pf for _, pf in pairs],
-                oversubscription=rate, config=config, obs=obs,
-            )
-            systems = sim.systems
-        for system in systems:
-            assert (type(system) is LegacyGMMU) == legacy, type(system)
-            assert (type(system.page_table) is LegacyPageTable) == legacy
+            patch.setattr(simulator_module, "MemorySystem", LegacyGMMU)
+            patch.setattr(simulator_module, "build_page_table",
+                          _legacy_page_table)
+        policy, prefetcher = build_setup(setup)
+        sim = simulator_module.Simulator(
+            workload, policy=policy, prefetcher=prefetcher,
+            oversubscription=rate, config=config, obs=obs,
+        )
+        system = sim.gmmu
+        assert (type(system) is LegacyGMMU) == legacy, type(system)
+        assert (type(system.page_table) is LegacyPageTable) == legacy
         return sim.run()
 
 

@@ -1,5 +1,5 @@
 """Differential proof that the flat-list memory system is its object oracle,
-on a small GPU and in the sharded scenario.
+on a small GPU.
 
 The fused hot loops in ``repro.engine.sm`` / ``repro.memsim.system`` over
 the flat-list page table and chunk chain must be *behavior preserving*:
@@ -32,12 +32,10 @@ APPS = ["NW", "BFS"]
 FAST = SimConfig(sm=SMConfig(num_sms=4))
 
 
-def _both(app, setup, rate, monkeypatch, config=FAST, obs_pair=(None, None),
-          instances=1):
+def _both(app, setup, rate, monkeypatch, config=FAST, obs_pair=(None, None)):
     """(production, oracle) results for one case."""
     return tuple(
-        simulate(app, setup, rate, monkeypatch, legacy, obs=obs,
-                 config=config, instances=instances)
+        simulate(app, setup, rate, monkeypatch, legacy, obs=obs, config=config)
         for legacy, obs in zip((False, True), obs_pair)
     )
 
@@ -84,11 +82,3 @@ class TestByteIdenticalTraces:
         obs_a, obs_b = Observability.enabled_(), Observability.enabled_()
         _both("NW", "cppe", 0.5, monkeypatch, obs_pair=(obs_a, obs_b))
         assert obs_a.metrics.snapshot() == obs_b.metrics.snapshot()
-
-
-class TestMultiInstanceBackend:
-    def test_sharded_run_matches_oracle(self, monkeypatch):
-        # The sharded multi-GPU scenario builds one memory system and page
-        # table per instance (`build_page_table`) on one event queue.
-        arr, obj = _both("NW", "cppe", 0.5, monkeypatch, instances=2)
-        assert result_bytes(arr) == result_bytes(obj)

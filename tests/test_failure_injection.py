@@ -10,7 +10,7 @@ from repro.engine.simulator import Simulator
 from repro.engine.stats import SimStats
 from repro.errors import SimulationError
 from repro.memsim.fault import FarFault
-from repro.memsim.gmmu import GMMU
+from repro.memsim.system import MemorySystem
 from repro.policies.base import EvictionPolicy
 from repro.policies.lru import LRUPolicy
 from repro.prefetch.base import Prefetcher
@@ -41,7 +41,7 @@ class NonSelectingPolicy(EvictionPolicy):
 
 def _gmmu(policy=None, prefetcher=None, capacity=32):
     events = EventQueue()
-    gmmu = GMMU(
+    gmmu = MemorySystem(
         config=FAST,
         capacity_frames=capacity,
         events=events,

@@ -9,7 +9,7 @@ from repro.engine.simulator import Simulator
 from repro.engine.stats import SimStats
 from repro.errors import ConfigError
 from repro.memsim.fault import FarFault
-from repro.memsim.gmmu import GMMU
+from repro.memsim.system import MemorySystem
 from repro.policies.lru import LRUPolicy
 from repro.prefetch.locality import LocalityPrefetcher
 
@@ -20,7 +20,7 @@ def make_gmmu(batch, capacity=1024):
     cfg = SimConfig(uvm=UVMConfig(fault_batch_size=batch))
     events = EventQueue()
     stats = SimStats()
-    gmmu = GMMU(
+    gmmu = MemorySystem(
         config=cfg, capacity_frames=capacity, events=events, stats=stats,
         policy=LRUPolicy(), prefetcher=LocalityPrefetcher("continue"),
     )

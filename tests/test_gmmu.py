@@ -1,4 +1,4 @@
-"""GMMU fault-service loop, migration, eviction, intervals (repro.memsim.gmmu)."""
+"""GMMU fault-service loop, migration, eviction, intervals (repro.memsim.system)."""
 
 import pytest
 
@@ -7,7 +7,7 @@ from repro.engine.events import EventQueue
 from repro.engine.stats import SimStats
 from repro.errors import CapacityError, SimulationError, ThrashingCrash
 from repro.memsim.fault import FarFault
-from repro.memsim.gmmu import GMMU
+from repro.memsim.system import MemorySystem
 from repro.policies.lru import LRUPolicy
 from repro.prefetch.disabled import DisabledPrefetcher
 from repro.prefetch.locality import LocalityPrefetcher
@@ -20,7 +20,7 @@ def make_gmmu(capacity=64, prefetcher=None, policy=None, config=None,
         config = SimConfig(uvm=uvm)
     events = EventQueue()
     stats = SimStats()
-    gmmu = GMMU(
+    gmmu = MemorySystem(
         config=config,
         capacity_frames=capacity,
         events=events,

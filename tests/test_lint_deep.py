@@ -98,6 +98,19 @@ class TestRepoClosures:
         for module in repo_analysis.worker_modules:
             assert boundary.is_parallel_scope(module), module
 
+    def test_bound_method_callbacks_reach_the_sm_loop(self, repo_analysis):
+        # The SM schedules its burst loop as a bound-method callback
+        # (``events.schedule(t, self._run_fast if self._fast else
+        # self._run)``): the loop and everything it calls — fault intake,
+        # victim selection — hang off that one argument edge.
+        for qual in (
+            "repro.engine.sm.StreamingMultiprocessor._run_fast",
+            "repro.memsim.system.MemorySystem.handle_fault",
+            "repro.policies.lru.LRUPolicy.select_victims",
+        ):
+            assert qual in repo_analysis.worker_functions, qual
+            assert qual in repo_analysis.sim_functions, qual
+
     def test_sim_closure_reaches_the_engine(self, repo_analysis):
         assert any(
             module.startswith("repro.engine")
@@ -111,14 +124,14 @@ class TestRepoClosures:
         assert "repro.harness.cache.config_fingerprint" in quals
         assert "repro.harness.cache._config_payload" in quals
         elided = {site.field for site in repo_analysis.elisions}
-        assert elided == {"instances"}
+        assert elided == set()
 
     def test_allowlist_parsed_from_cache_module(self, repo_analysis):
         entries = {
             (entry.dataclass_name, entry.field)
             for entry in repo_analysis.allowlist
         }
-        assert ("RunSpec", "instances") in entries
+        assert entries == {("ObsConfig", "*")}
         assert all(
             len(entry.reason) >= 10 for entry in repo_analysis.allowlist
         )
@@ -219,6 +232,32 @@ class TestAcceptanceFailures:
             if f.rule in {"REPRO601", "REPRO604"}
         }
         assert flagged == {"warmup.py"}  # anchored in the culprit module
+
+
+    def test_module_dict_write_in_victim_selection_fails_deep_lint(
+        self, tmp_path
+    ):
+        # Victim selection runs in every pool worker, reached only through
+        # the SM's bound-method callback; a module-dict write there must
+        # be flagged.
+        dst = _copy_src(tmp_path)
+        lru_py = dst / "repro" / "policies" / "lru.py"
+        text = lru_py.read_text(encoding="utf-8")
+        exports = '__all__ = ["LRUPolicy"]\n'
+        marker = (
+            "    def select_victims(self, frames_needed: int, time: int)"
+            " -> List[ChunkEntry]:\n"
+        )
+        assert exports in text and marker in text
+        text = text.replace(exports, exports + "\n_SEEN = {}\n")
+        text = text.replace(marker, marker + "        _SEEN[frames_needed] = True\n")
+        lru_py.write_text(text, encoding="utf-8")
+
+        report = run_lint([dst], deep=True)
+        assert [f.rule for f in report.findings] == ["REPRO602"], [
+            f.render() for f in report.findings
+        ]
+        assert Path(report.findings[0].path).parts[-2:] == ("policies", "lru.py")
 
 
 class TestSummaryCache:

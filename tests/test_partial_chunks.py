@@ -13,7 +13,7 @@ from repro.config import (
 from repro.engine.events import EventQueue
 from repro.engine.stats import SimStats
 from repro.memsim.fault import FarFault
-from repro.memsim.gmmu import GMMU
+from repro.memsim.system import MemorySystem
 from repro.policies.lru import LRUPolicy
 from repro.prefetch.pattern_aware import PatternAwarePrefetcher
 
@@ -27,7 +27,7 @@ def make_gmmu_with_pattern(capacity=256):
     prefetcher = PatternAwarePrefetcher(
         PatternBufferConfig(deletion_scheme=2, lru_only=False)
     )
-    gmmu = GMMU(
+    gmmu = MemorySystem(
         config=FAST, capacity_frames=capacity, events=events,
         stats=SimStats(), policy=LRUPolicy(), prefetcher=prefetcher,
     )

@@ -10,8 +10,8 @@ Covers the tentpole acceptance criteria of the service PR:
   ``failed`` state) through the API instead of crashing the service;
 * kill + restart resumes the persisted queue without losing jobs or
   re-running completed specs;
-* the job state machine, priority queue, token bucket, tenant admission
-  and the NDJSON event schema, each in isolation.
+* the job state machine, priority queue and the NDJSON event schema, each
+  in isolation.
 """
 
 from __future__ import annotations
@@ -23,13 +23,7 @@ import urllib.request
 
 import pytest
 
-from repro.errors import (
-    AdmissionDenied,
-    InvalidJobRequest,
-    RateLimited,
-    ServiceError,
-    UnknownJob,
-)
+from repro.errors import InvalidJobRequest, ServiceError, UnknownJob
 from repro.harness.experiment import RunSpec, execution_count, spec_label
 from repro.obs.bus import BusEvent, EventBus
 from repro.service import (
@@ -39,8 +33,6 @@ from repro.service import (
     JobStore,
     ServiceClient,
     ServiceConfig,
-    TenantAdmission,
-    TokenBucket,
     make_server,
 )
 from repro.service.wire import (
@@ -161,6 +153,13 @@ class TestWire:
         assert spec == RunSpec("STN", "baseline", 0.5, scale=0.25)
         assert spec_from_dict(spec_to_dict(spec)) == spec
 
+    def test_retired_instances_field_accepted_only_as_one(self):
+        # Snapshots and clients from before the multi-GPU scenario was
+        # retired send ``instances: 1``; other values are in the invalid
+        # specs below.
+        assert spec_from_dict({**SPEC, "instances": 1}) == spec_from_dict(SPEC)
+        assert "instances" not in spec_to_dict(spec_from_dict(SPEC))
+
     def test_rate_one_or_more_means_unlimited(self):
         assert spec_from_dict({**SPEC, "oversubscription": 1.0}).oversubscription is None
         assert spec_from_dict({**SPEC, "oversubscription": None}).oversubscription is None
@@ -175,7 +174,9 @@ class TestWire:
             {**SPEC, "oversubscription": "half"},
             {**SPEC, "scale": 0},
             {**SPEC, "seed": 1.5},
-            {**SPEC, "instances": 0},
+            {**SPEC, "instances": 2},
+            {**SPEC, "instances": True},
+            {**SPEC, "instances": 1.0},
             {**SPEC, "crash_budget_factor": -1},
             {**SPEC, "bogus_field": 1},
             "not an object",
@@ -346,65 +347,6 @@ class TestJobStore:
 
 
 # --------------------------------------------------------------------------
-# Admission control
-# --------------------------------------------------------------------------
-
-
-class TestTokenBucket:
-    def test_burst_then_limited_with_retry_after(self):
-        clock = [0.0]
-        bucket = TokenBucket(2, 1.0, clock=lambda: clock[0])
-        bucket.acquire()
-        bucket.acquire()
-        with pytest.raises(RateLimited) as err:
-            bucket.acquire()
-        assert err.value.retry_after_s == pytest.approx(1.0)
-        assert err.value.http_status == 429
-
-    def test_refill_restores_tokens(self):
-        clock = [0.0]
-        bucket = TokenBucket(1, 2.0, clock=lambda: clock[0])
-        bucket.acquire()
-        with pytest.raises(RateLimited):
-            bucket.acquire()
-        clock[0] = 0.6  # 1.2 tokens accrued, capped at capacity 1
-        bucket.acquire()
-        assert bucket.available() == pytest.approx(0.0)
-
-    def test_disabled_bucket_never_limits(self):
-        bucket = TokenBucket(1, 0.0)
-        for _ in range(50):
-            bucket.acquire()
-
-    def test_capacity_validated(self):
-        with pytest.raises(ServiceError):
-            TokenBucket(0, 1.0)
-
-
-class TestTenantAdmission:
-    def test_cap_enforced_per_tenant(self):
-        adm = TenantAdmission(2)
-        adm.admit("t1")
-        adm.admit("t1")
-        with pytest.raises(AdmissionDenied) as err:
-            adm.admit("t1")
-        assert err.value.tenant == "t1" and err.value.cap == 2
-        adm.admit("t2")  # other tenants unaffected
-
-    def test_release_frees_slot(self):
-        adm = TenantAdmission(1)
-        adm.admit("t")
-        adm.release("t")
-        adm.admit("t")
-        assert adm.active("t") == 1
-
-    def test_disabled_cap(self):
-        adm = TenantAdmission(0)
-        for _ in range(20):
-            adm.admit("t")
-
-
-# --------------------------------------------------------------------------
 # Service end-to-end (in-process)
 # --------------------------------------------------------------------------
 
@@ -491,8 +433,6 @@ class TestServiceLive:
         assert cancelled["specs"][0]["status"] == "cancelled"
         kinds = [e.kind for e in idle_service.events_bus(view["job"]).events_since(0)]
         assert kinds == ["queued", "cancelled"]
-        # slot released: with the job gone, a capped tenant could submit again
-        assert idle_service.admission.active("default") == 0
 
     def test_submission_validation(self, idle_service):
         with pytest.raises(InvalidJobRequest):
@@ -509,31 +449,6 @@ class TestServiceLive:
             idle_service.status("b-nope")
         with pytest.raises(UnknownJob):
             idle_service.events_bus("b-nope")
-        # nothing was admitted by any rejected submission
-        assert idle_service.admission.active("default") == 0
-
-    def test_tenant_cap_through_service(self, tmp_path):
-        svc = ExperimentService(
-            ServiceConfig(state_dir=tmp_path / "state", tenant_cap=1)
-        )
-        svc.submit({"specs": [SPEC], "tenant": "t1"})
-        with pytest.raises(AdmissionDenied):
-            svc.submit({"specs": [SPEC], "tenant": "t1"})
-        svc.submit({"specs": [SPEC], "tenant": "t2"})
-        svc.stop()
-
-    def test_rate_limit_through_service(self, tmp_path):
-        svc = ExperimentService(
-            ServiceConfig(
-                state_dir=tmp_path / "state",
-                rate_capacity=1,
-                rate_refill_per_s=0.001,
-            )
-        )
-        svc.submit({"specs": [SPEC]})
-        with pytest.raises(RateLimited):
-            svc.submit({"specs": [SPEC]})
-        svc.stop()
 
     def test_priority_order_drained_high_first(self, tmp_path):
         svc = ExperimentService(ServiceConfig(state_dir=tmp_path / "state"))
@@ -561,6 +476,43 @@ class TestRestartResume:
         final = wait_terminal(svc2, job_id)
         assert final["state"] == "done"
         svc2.stop()
+
+    def test_snapshot_with_retired_instances_field_resumes(self, tmp_path):
+        # The exact snapshot JobStore.save wrote while RunSpec still had an
+        # ``instances`` field: every spec carries ``"instances": 1``.
+        state = tmp_path / "state"
+        snapshot = {
+            "attempts": 0,
+            "created_ts": 0.0,
+            "enqueue_seq": 0,
+            "error": None,
+            "finished_ts": None,
+            "job_id": "b-legacy",
+            "outcomes": [],
+            "overrides": None,
+            "priority": 0,
+            "results": [],
+            "specs": [{**SPEC, "crash_budget_factor": None, "instances": 1,
+                       "seed": None}],
+            "started_ts": None,
+            "state": "queued",
+            "stats": None,
+            "tenant": "default",
+            "version": 1,
+        }
+        path = JobStore(state).directory / "b-legacy.json"
+        path.write_text(json.dumps(snapshot, indent=2, sort_keys=True),
+                        encoding="utf-8")
+
+        svc = ExperimentService(ServiceConfig(state_dir=state))
+        pending = svc.resume()
+        assert [j.job_id for j in pending] == ["b-legacy"]
+        assert pending[0].specs == [spec_from_dict(SPEC)]
+        svc.start()
+        final = wait_terminal(svc, "b-legacy")
+        assert final["state"] == "done"
+        assert "instances" not in final["specs"][0]["spec"]
+        svc.stop()
 
     def test_restart_does_not_rerun_completed_specs(self, tmp_path):
         state = tmp_path / "state"
@@ -689,6 +641,13 @@ class TestHTTP:
         with pytest.raises(ServiceError) as err:
             client.submit({"specs": [{**SPEC, "app": "NOPE"}]})
         assert "400" in str(err.value)
+
+    def test_instances_other_than_one_is_400(self, http_service):
+        _, client = http_service
+        with pytest.raises(ServiceError) as err:
+            client.submit({"specs": [{**SPEC, "instances": 2}]})
+        assert "400" in str(err.value)
+        assert "instances" in str(err.value)
 
     def test_list_batches(self, http_service):
         _, client = http_service

@@ -8,7 +8,7 @@ from repro.engine.events import EventQueue
 from repro.engine.sm import StreamingMultiprocessor
 from repro.engine.stats import SimStats
 from repro.errors import SimulationError
-from repro.memsim.gmmu import GMMU
+from repro.memsim.system import MemorySystem
 from repro.policies.lru import LRUPolicy
 from repro.prefetch.locality import LocalityPrefetcher
 
@@ -22,7 +22,7 @@ def make_sm(trace, capacity=256, max_outstanding=4, burst=8, writes=None):
     )
     events = EventQueue()
     stats = SimStats()
-    gmmu = GMMU(
+    gmmu = MemorySystem(
         config=config,
         capacity_frames=capacity,
         events=events,
