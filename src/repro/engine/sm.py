@@ -20,6 +20,7 @@ dominates every studied effect.
 
 from __future__ import annotations
 
+from functools import partial
 from heapq import heappop, heappush
 from typing import Callable, Optional, Tuple
 
@@ -81,7 +82,8 @@ class StreamingMultiprocessor:
         #: Lazily built attribute-hoist tuple for :meth:`_run_fast`;
         #: invalidated by identity check against the live page table.
         self._hoisted: Optional[Tuple] = None
-        self._fill_consts: Optional[Tuple] = None
+        #: TLB fill constants for :meth:`_resolve_fast` (fused path only).
+        self._fill_consts: Tuple = ()
         # Boxed-window cache: fault-heavy phases re-enter the burst loop
         # every few accesses, and a numpy slice + tolist per entry would
         # dominate.  Boxing 4096 accesses at a time amortises it away while
@@ -159,7 +161,7 @@ class StreamingMultiprocessor:
                 sm_id=self.sm_id,
                 time=local_time,
                 is_write=is_write,
-                on_resolve=self._make_resolver(vpn, is_write),
+                on_resolve=partial(self._resolve, vpn, is_write),
             )
             self.gmmu.handle_fault(fault)
 
@@ -231,12 +233,15 @@ class StreamingMultiprocessor:
         """Fused burst: one trace slice, everything inlined.
 
         Byte-identical to :meth:`_run` by construction — same per-access
-        latency arithmetic, same event scheduling, same counters.  Local
-        counter accumulation is flushed back to the shared stats (and the
-        TLB/walker/PWC objects' own counters) before every ``handle_fault``
-        and at loop exit, because fault handling can synchronously resolve
-        *this* SM's earlier faults (which reads ``_cursor``/``_outstanding``)
-        and can abort the run (ThrashingCrash) with the stats as they stand.
+        latency arithmetic, same event scheduling, same counters.  The
+        cursor and outstanding count are synced before every
+        ``handle_fault``, because fault handling can synchronously resolve
+        *this* SM's earlier faults, which reads both.  Local counters are
+        written back to the shared stats (and the TLB/walker/PWC objects'
+        own counters) once, when the burst ends, and also when an exception
+        leaves ``handle_fault``: a ThrashingCrash result keeps the stats as
+        they stand at the crash, as on the generic path.  Nothing reads
+        those counters while the simulation runs.
         """
         self._run_event = None
         gmmu = self.gmmu
@@ -297,130 +302,113 @@ class StreamingMultiprocessor:
         pwc_m = 0
 
         i = 0
-        while i < count:
-            vpn = vpns[base + i]
-            is_write = writes[base + i] != 0 if writes is not None else False
-            i += 1
-            local_time += compute
+        try:
+            while i < count:
+                vpn = vpns[base + i]
+                is_write = writes[base + i] != 0 if writes is not None else False
+                i += 1
+                local_time += compute
 
-            # --- translation path (mirrors TranslationHierarchy.translate)
-            s = l1_sets[vpn % l1_num]
-            if vpn in s:
-                del s[vpn]
-                s[vpn] = None
-                l1_hits += 1
-                local_time += l1_lat
-                resident = True
-            else:
-                l1_misses += 1
-                latency = l1_lat
-                s2 = l2_sets[vpn % l2_num]
-                if vpn in s2:
-                    del s2[vpn]
-                    s2[vpn] = None
-                    l2_hits += 1
-                    latency += l2_lat
-                    if len(s) >= l1_assoc:
-                        del s[next(iter(s))]
+                # --- translation path (mirrors TranslationHierarchy.translate)
+                s = l1_sets[vpn % l1_num]
+                if vpn in s:
+                    del s[vpn]
                     s[vpn] = None
+                    l1_hits += 1
+                    local_time += l1_lat
                     resident = True
                 else:
-                    l2_misses += 1
-                    latency += l2_lat
-                    if inline_walk:
-                        # --- inline walk (mirrors PageTableWalker.walk,
-                        # flat-latency arm).  Keys are (level, vpn >> 9*d).
-                        w_walks += 1
-                        wtime = local_time + latency
-                        while w_busy and w_busy[0] <= wtime:
-                            heappop(w_busy)
-                        queue_delay = 0
-                        if len(w_busy) >= w_cap:
-                            queue_delay = heappop(w_busy) - wtime
-                        deepest = -1
-                        level = w_levels - 2
-                        while level >= 0:
-                            node = vpn >> (9 * (w_levels - 1 - level))
-                            key = (level, node)
-                            ps = pwc_sets[(node * 7 + level) % pwc_num]
-                            if key in ps:
-                                del ps[key]
-                                ps[key] = None
-                                pwc_h += 1
-                                deepest = level
-                                break
-                            pwc_m += 1
-                            level -= 1
-                        wlat = pwc_lat + (w_levels - 1 - deepest) * w_mem_lat
-                        level = deepest + 1
-                        while level < w_levels - 1:
-                            node = vpn >> (9 * (w_levels - 1 - level))
-                            key = (level, node)
-                            ps = pwc_sets[(node * 7 + level) % pwc_num]
-                            if key in ps:
-                                del ps[key]
-                            elif len(ps) >= pwc_assoc:
-                                ps.pop(next(iter(ps)))
-                            ps[key] = None
-                            level += 1
-                        heappush(w_busy, wtime + queue_delay + wlat)
-                        w_cycles += wlat
-                        w_qdelay += queue_delay
-                        pidx = vpn - p_origin
-                        resident = (
-                            0 <= pidx < len(frames) and frames[pidx] >= 0
-                        )
-                        walk_latency = queue_delay + wlat
-                    else:
-                        walk_latency, resident = walker.walk(
-                            vpn, local_time + latency
-                        )
-                    walks += 1
-                    latency += walk_latency
-                    if resident:
+                    l1_misses += 1
+                    latency = l1_lat
+                    s2 = l2_sets[vpn % l2_num]
+                    if vpn in s2:
+                        del s2[vpn]
+                        s2[vpn] = None
+                        l2_hits += 1
+                        latency += l2_lat
                         if len(s) >= l1_assoc:
                             del s[next(iter(s))]
                         s[vpn] = None
-                        if len(s2) >= l2_assoc:
-                            del s2[next(iter(s2))]
-                        s2[vpn] = None
-                local_time += latency
-
-            accesses += 1
-            if is_write:
-                writes_n += 1
-
-            if resident:
-                # --- inline touch (mirrors MemorySystem.touch_page fast path)
-                idx = vpn - p_origin
-                acc[idx] = 1
-                if is_write:
-                    drt[idx] = 1
-                cid = vpn // ppc
-                li = cid - c_origin
-                tch[li] |= 1 << (vpn - cid * ppc)
-                # Recency dispatch with ChunkChain.move_to_tail inlined
-                # (the touched chunk is in the chain by invariant — resident
-                # pages always have a chain entry — so no membership check).
-                if kind == "lru":
-                    last = chain._last
-                    if last != cid:
-                        prv = prvl[li]
-                        nxt = nxtl[li]
-                        if prv >= 0:
-                            nxtl[prv - c_origin] = nxt
+                        resident = True
+                    else:
+                        l2_misses += 1
+                        latency += l2_lat
+                        if inline_walk:
+                            # --- inline walk (mirrors PageTableWalker.walk,
+                            # flat-latency arm).  Keys are (level, vpn >> 9*d).
+                            w_walks += 1
+                            wtime = local_time + latency
+                            while w_busy and w_busy[0] <= wtime:
+                                heappop(w_busy)
+                            queue_delay = 0
+                            if len(w_busy) >= w_cap:
+                                queue_delay = heappop(w_busy) - wtime
+                            deepest = -1
+                            level = w_levels - 2
+                            while level >= 0:
+                                node = vpn >> (9 * (w_levels - 1 - level))
+                                key = (level, node)
+                                ps = pwc_sets[(node * 7 + level) % pwc_num]
+                                if key in ps:
+                                    del ps[key]
+                                    ps[key] = None
+                                    pwc_h += 1
+                                    deepest = level
+                                    break
+                                pwc_m += 1
+                                level -= 1
+                            wlat = pwc_lat + (w_levels - 1 - deepest) * w_mem_lat
+                            level = deepest + 1
+                            while level < w_levels - 1:
+                                node = vpn >> (9 * (w_levels - 1 - level))
+                                key = (level, node)
+                                ps = pwc_sets[(node * 7 + level) % pwc_num]
+                                if key in ps:
+                                    del ps[key]
+                                elif len(ps) >= pwc_assoc:
+                                    ps.pop(next(iter(ps)))
+                                ps[key] = None
+                                level += 1
+                            heappush(w_busy, wtime + queue_delay + wlat)
+                            w_cycles += wlat
+                            w_qdelay += queue_delay
+                            pidx = vpn - p_origin
+                            resident = (
+                                0 <= pidx < len(frames) and frames[pidx] >= 0
+                            )
+                            walk_latency = queue_delay + wlat
                         else:
-                            chain._first = nxt
-                        prvl[nxt - c_origin] = prv
-                        prvl[li] = last
-                        nxtl[li] = -1
-                        nxtl[last - c_origin] = cid
-                        chain._last = cid
-                    lref[li] = clock._interval_index
-                elif kind == "mhpe":
-                    interval = clock._interval_index
-                    if lref[li] < interval:
-                        lref[li] = interval
+                            walk_latency, resident = walker.walk(
+                                vpn, local_time + latency
+                            )
+                        walks += 1
+                        latency += walk_latency
+                        if resident:
+                            if len(s) >= l1_assoc:
+                                del s[next(iter(s))]
+                            s[vpn] = None
+                            if len(s2) >= l2_assoc:
+                                del s2[next(iter(s2))]
+                            s2[vpn] = None
+                    local_time += latency
+
+                accesses += 1
+                if is_write:
+                    writes_n += 1
+
+                if resident:
+                    # --- inline touch (mirrors MemorySystem.touch_page fast path)
+                    idx = vpn - p_origin
+                    acc[idx] = 1
+                    if is_write:
+                        drt[idx] = 1
+                    cid = vpn // ppc
+                    li = cid - c_origin
+                    tch[li] |= 1 << (vpn - cid * ppc)
+                    # Recency dispatch with ChunkChain.move_to_tail inlined
+                    # (the touched chunk is in the chain by invariant — resident
+                    # pages always have a chain entry — so no membership check).
+                    if kind == "lru":
                         last = chain._last
                         if last != cid:
                             prv = prvl[li]
@@ -434,34 +422,64 @@ class StreamingMultiprocessor:
                             nxtl[li] = -1
                             nxtl[last - c_origin] = cid
                             chain._last = cid
-                elif kind == "hpe":
-                    counter = ctr[li]
-                    if counter < 16:
-                        ctr[li] = counter + 1
-                    last = chain._last
-                    if last != cid:
-                        prv = prvl[li]
-                        nxt = nxtl[li]
-                        if prv >= 0:
-                            nxtl[prv - c_origin] = nxt
-                        else:
-                            chain._first = nxt
-                        prvl[nxt - c_origin] = prv
-                        prvl[li] = last
-                        nxtl[li] = -1
-                        nxtl[last - c_origin] = cid
-                        chain._last = cid
-                    lref[li] = clock._interval_index
-                elif kind == "ref":
-                    lref[li] = clock._interval_index
-                else:
-                    policy.on_page_touched(chain._handle(li), vpn, local_time)
-                continue
+                        lref[li] = clock._interval_index
+                    elif kind == "mhpe":
+                        interval = clock._interval_index
+                        if lref[li] < interval:
+                            lref[li] = interval
+                            last = chain._last
+                            if last != cid:
+                                prv = prvl[li]
+                                nxt = nxtl[li]
+                                if prv >= 0:
+                                    nxtl[prv - c_origin] = nxt
+                                else:
+                                    chain._first = nxt
+                                prvl[nxt - c_origin] = prv
+                                prvl[li] = last
+                                nxtl[li] = -1
+                                nxtl[last - c_origin] = cid
+                                chain._last = cid
+                    elif kind == "hpe":
+                        counter = ctr[li]
+                        if counter < 16:
+                            ctr[li] = counter + 1
+                        last = chain._last
+                        if last != cid:
+                            prv = prvl[li]
+                            nxt = nxtl[li]
+                            if prv >= 0:
+                                nxtl[prv - c_origin] = nxt
+                            else:
+                                chain._first = nxt
+                            prvl[nxt - c_origin] = prv
+                            prvl[li] = last
+                            nxtl[li] = -1
+                            nxtl[last - c_origin] = cid
+                            chain._last = cid
+                        lref[li] = clock._interval_index
+                    elif kind == "ref":
+                        lref[li] = clock._interval_index
+                    else:
+                        policy.on_page_touched(chain._handle(li), vpn, local_time)
+                    continue
 
-            # --- far fault: sync state out, hand off, sync back in
-            self._cursor = cursor + i
-            outstanding += 1
-            self._outstanding = outstanding
+                # --- far fault: sync the cursor out, hand off, reload
+                self._cursor = cursor + i
+                outstanding += 1
+                self._outstanding = outstanding
+                gmmu.handle_fault(
+                    FarFault(
+                        vpn, sm_id, local_time, is_write,
+                        partial(self._resolve_fast, vpn, is_write),
+                    )
+                )
+                # The scheduler can synchronously resolve this SM's earlier
+                # faults, mutating _outstanding: reload.
+                outstanding = self._outstanding
+                if outstanding >= max_out:
+                    break
+        finally:
             stats.accesses += accesses
             stats.writes += writes_n
             stats.l1_tlb_hits += l1_hits
@@ -478,41 +496,9 @@ class StreamingMultiprocessor:
             walker.total_queue_delay += w_qdelay
             pwc.hits += pwc_h
             pwc.misses += pwc_m
-            accesses = writes_n = 0
-            l1_hits = l1_misses = l2_hits = l2_misses = walks = 0
-            w_walks = w_cycles = w_qdelay = pwc_h = pwc_m = 0
-            fault = FarFault(
-                vpn=vpn,
-                sm_id=sm_id,
-                time=local_time,
-                is_write=is_write,
-                on_resolve=self._make_resolver(vpn, is_write),
-            )
-            gmmu.handle_fault(fault)
-            # begin_service can synchronously resolve this SM's earlier
-            # faults (and this one), mutating _outstanding: reload.
-            outstanding = self._outstanding
-            if outstanding >= max_out:
-                break
 
         self._cursor = cursor + i
         self._outstanding = outstanding
-        stats.accesses += accesses
-        stats.writes += writes_n
-        stats.l1_tlb_hits += l1_hits
-        stats.l1_tlb_misses += l1_misses
-        stats.l2_tlb_hits += l2_hits
-        stats.l2_tlb_misses += l2_misses
-        stats.page_walks += walks
-        l1.hits += l1_hits
-        l1.misses += l1_misses
-        l2.hits += l2_hits
-        l2.misses += l2_misses
-        walker.walks += w_walks
-        walker.total_walk_cycles += w_cycles
-        walker.total_queue_delay += w_qdelay
-        pwc.hits += pwc_h
-        pwc.misses += pwc_m
 
         if self._cursor >= n:
             self._maybe_finish(local_time)
@@ -523,73 +509,69 @@ class StreamingMultiprocessor:
             # Burst exhausted: yield to other SMs and continue.
             self._schedule_run(local_time)
 
-    def _make_resolver(self, vpn: int, is_write: bool) -> Callable[[int], None]:
-        if self._fill_consts is not None:
-            return self._make_resolver_fast(vpn, is_write)
+    def _resolve(self, vpn: int, is_write: bool, time: int) -> None:
+        """Replay a parked access once its page is resident (the generic
+        path's ``FarFault.on_resolve``, bound per fault with ``partial``).
 
-        def resolve(time: int) -> None:
-            # Replay the parked access: the page is resident now.  The
-            # replayed access re-translates; its walk cost is part of the
-            # fault service, so only the TLB fills are modelled.
-            if self.translation is not None:
-                self.translation.fill(self.sm_id, vpn)
-            self.gmmu.touch_page(self.sm_id, vpn, is_write, time)
-            was_stalled = self.stalled
-            self._outstanding -= 1
-            if self._outstanding < 0:
-                raise SimulationError(f"SM{self.sm_id}: negative outstanding faults")
-            if self._cursor >= len(self.trace):
-                self._maybe_finish(time)
-            elif was_stalled:
-                self._schedule_run(time)
-
-        return resolve
-
-    def _make_resolver_fast(
-        self, vpn: int, is_write: bool
-    ) -> Callable[[int], None]:
-        """Resolver with the TLB fills inlined (fused path only).
-
-        Identical to the generic resolver: ``TranslationHierarchy.fill`` is
-        two ``TLB.insert`` calls, reproduced on the hoisted set dicts.
+        The replayed access re-translates; its walk cost is part of the
+        fault service, so only the TLB fills are modelled.
         """
-        assert self._fill_consts is not None
+        if self.translation is not None:
+            self.translation.fill(self.sm_id, vpn)
+        self.gmmu.touch_page(self.sm_id, vpn, is_write, time)
+        was_stalled = self.stalled
+        self._outstanding -= 1
+        if self._outstanding < 0:
+            raise SimulationError(f"SM{self.sm_id}: negative outstanding faults")
+        if self._cursor >= len(self.trace):
+            self._maybe_finish(time)
+        elif was_stalled:
+            self._schedule_run(time)
+
+    def _resolve_fast(self, vpn: int, is_write: bool, time: int) -> None:
+        """:meth:`_resolve` with the TLB fills inlined (fused path only).
+
+        ``TranslationHierarchy.fill`` is two ``TLB.insert`` calls,
+        reproduced on the hoisted set dicts.
+        """
         (
             l1_sets, l1_num, l1_assoc,
             l2_sets, l2_num, l2_assoc,
             trace_len, max_out,
         ) = self._fill_consts
-
-        def resolve(time: int) -> None:
-            s = l1_sets[vpn % l1_num]
-            if vpn in s:
-                del s[vpn]
-            elif len(s) >= l1_assoc:
-                s.pop(next(iter(s)))
-            s[vpn] = None
-            s2 = l2_sets[vpn % l2_num]
-            if vpn in s2:
-                del s2[vpn]
-            elif len(s2) >= l2_assoc:
-                s2.pop(next(iter(s2)))
-            s2[vpn] = None
-            self.gmmu.touch_page(self.sm_id, vpn, is_write, time)
-            outstanding = self._outstanding
-            was_stalled = outstanding >= max_out
-            outstanding -= 1
-            self._outstanding = outstanding
-            if outstanding < 0:
-                raise SimulationError(f"SM{self.sm_id}: negative outstanding faults")
-            if self._cursor >= trace_len:
-                self._maybe_finish(time)
-            elif was_stalled:
-                self._schedule_run(time)
-
-        return resolve
+        s = l1_sets[vpn % l1_num]
+        if vpn in s:
+            del s[vpn]
+        elif len(s) >= l1_assoc:
+            s.pop(next(iter(s)))
+        s[vpn] = None
+        s2 = l2_sets[vpn % l2_num]
+        if vpn in s2:
+            del s2[vpn]
+        elif len(s2) >= l2_assoc:
+            s2.pop(next(iter(s2)))
+        s2[vpn] = None
+        self.gmmu.touch_page(self.sm_id, vpn, is_write, time)
+        outstanding = self._outstanding
+        was_stalled = outstanding >= max_out
+        outstanding -= 1
+        self._outstanding = outstanding
+        if outstanding < 0:
+            raise SimulationError(f"SM{self.sm_id}: negative outstanding faults")
+        if self._cursor >= trace_len:
+            self._maybe_finish(time)
+        elif was_stalled:
+            self._schedule_run(time)
 
     def _maybe_finish(self, time: int) -> None:
         if self._finished or self._outstanding > 0 or self._cursor < len(self.trace):
             return
         self._finished = True
+        # Release the boxed trace window now: the simulation's object graph
+        # is cyclic (Simulator <-> SM through on_finish), so a finished run
+        # is freed only by the cyclic collector, which may come late.
+        self._boxed = None
+        self._boxed_writes = None
+        self._box_lo = self._box_hi = 0
         self.stats.sm_finish_times[self.sm_id] = time
         self.on_finish(self.sm_id, time)

@@ -5,12 +5,18 @@ GMMU groups faults by chunk: while a migration for a chunk is in flight,
 additional faults to pages covered by that migration merge into it (they are
 resolved together, as the replayable-far-fault hardware of [9] does), and
 faults to same-chunk pages *not* covered queue as fresh faults.
+
+An :class:`InFlightMigration` names its pages the way every mechanism of the
+paper does, as one page mask per 64 KB chunk: bit ``i`` of ``masks[c]`` is
+page ``c * pages_per_chunk + i``.  The frontend indexes in-flight pages by
+the same masks, so "is this page on its way?" is a dict lookup and a bit
+test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Set
+from typing import Any, Callable, Dict, List
 
 __all__ = ["FarFault", "InFlightMigration"]
 
@@ -36,7 +42,11 @@ class InFlightMigration:
     """A fault-service operation the GMMU is currently executing."""
 
     chunk_id: int
-    pages: Set[int]  # VPNs being migrated in
+    #: chunk id -> mask of that chunk's pages being migrated in.
+    masks: Dict[int, int]
+    #: Pages being migrated in (the popcount of ``masks``).
+    num_pages: int
+    pages_per_chunk: int
     faults: List[FarFault] = field(default_factory=list)
     start_time: int = 0
     finish_time: int = 0
@@ -45,7 +55,8 @@ class InFlightMigration:
     token: int = -1
 
     def covers(self, vpn: int) -> bool:
-        return vpn in self.pages
+        chunk_id, index = divmod(vpn, self.pages_per_chunk)
+        return bool(self.masks.get(chunk_id, 0) >> index & 1)
 
     def attach(self, fault: FarFault) -> None:
         self.faults.append(fault)
@@ -54,7 +65,7 @@ class InFlightMigration:
         """Structured-event payload for the observability tracer."""
         return {
             "chunk": self.chunk_id,
-            "pages": len(self.pages),
+            "pages": self.num_pages,
             "faults": len(self.faults),
             "token": self.token,
         }

@@ -15,9 +15,9 @@ test oracle ``tests/_legacy_gmmu.py``) is four explicit stages behind the
         └─► IntervalClock     64-migrated-pages interval geometry,
                               per-interval policy telemetry
 
-Stages communicate through narrow seams (the frontend's coverage map, the
-shared :class:`FrameLedger`, the clock's ``current_interval``), never by
-reaching into each other's internals.
+Stages communicate through narrow seams (the frontend's per-chunk
+in-flight masks, the shared :class:`FrameLedger`, the clock's
+``current_interval``), never by reaching into each other's internals.
 
 The decomposition is behavior-preserving: ``tests/test_system_differential.py``
 proves byte-identical results and traces against the pre-refactor monolith.
@@ -49,7 +49,6 @@ from .page_table import PageTable
 from .pcie import PCIeLink
 
 __all__ = [
-    "CoverageMap",
     "FrameLedger",
     "IntervalClock",
     "FaultFrontend",
@@ -58,10 +57,6 @@ __all__ = [
     "MemorySystem",
     "policy_touch_kind",
 ]
-
-
-#: Slack added when the coverage map must grow (see :class:`CoverageMap`).
-_PAD_PAGES = 4096
 
 
 def policy_touch_kind(policy: EvictionPolicy) -> Optional[str]:
@@ -204,89 +199,14 @@ class IntervalClock:
             self._interval_evictions = 0
 
 
-class CoverageMap:
-    """The frontend's ``vpn -> InFlightMigration`` map as a flat slot list.
-
-    Indexed by ``vpn - origin``; the origin is anchored on first use,
-    because traces are rebased to a high base VPN (``Workload.base_vpn``)
-    and anchoring at 0 would allocate the whole gap below it.  Offers the
-    handful of dict operations the frontend and the scheduler use.
-    """
-
-    __slots__ = ("_slots", "_origin", "_empty", "_count")
-
-    def __init__(self) -> None:
-        self._slots: List[Optional[InFlightMigration]] = [None] * _PAD_PAGES
-        self._origin = 0
-        self._empty = True
-        self._count = 0
-
-    def _ensure(self, vpn: int) -> int:
-        if self._empty:
-            self._origin = vpn - vpn % _PAD_PAGES
-            self._empty = False
-        idx = vpn - self._origin
-        if idx < 0:
-            pad = max(-idx, _PAD_PAGES)
-            self._slots[:0] = [None] * pad
-            self._origin -= pad
-            return vpn - self._origin
-        n = len(self._slots)
-        if idx >= n:
-            self._slots.extend([None] * (idx - n + 1 + _PAD_PAGES))
-        return idx
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __contains__(self, vpn: int) -> bool:
-        idx = vpn - self._origin
-        return 0 <= idx < len(self._slots) and self._slots[idx] is not None
-
-    def __getitem__(self, vpn: int) -> InFlightMigration:
-        idx = vpn - self._origin
-        if 0 <= idx < len(self._slots):
-            mig = self._slots[idx]
-            if mig is not None:
-                return mig
-        raise KeyError(vpn)
-
-    def __setitem__(self, vpn: int, mig: InFlightMigration) -> None:
-        idx = self._ensure(vpn)
-        if self._slots[idx] is None:
-            self._count += 1
-        self._slots[idx] = mig
-
-    def get(
-        self, vpn: int, default: Optional[InFlightMigration] = None
-    ) -> Optional[InFlightMigration]:
-        idx = vpn - self._origin
-        if 0 <= idx < len(self._slots):
-            mig = self._slots[idx]
-            if mig is not None:
-                return mig
-        return default
-
-    def pop(
-        self, vpn: int, default: Optional[InFlightMigration] = None
-    ) -> Optional[InFlightMigration]:
-        idx = vpn - self._origin
-        if 0 <= idx < len(self._slots):
-            mig = self._slots[idx]
-            if mig is not None:
-                self._slots[idx] = None
-                self._count -= 1
-                return mig
-        return default
-
-
 class FaultFrontend:
     """Stage: far-fault bookkeeping and duplicate merging.
 
-    Owns the pending-fault queue and the coverage map (vpn → in-flight
-    migration).  A fault whose page is already on its way merges into that
-    migration (the replayable far-fault hardware of [9]); everything else
-    queues for the scheduler.  Intake itself is fused into
+    Owns the pending-fault queue and the in-flight index: per chunk, the
+    mask of its pages some migration is bringing in, and those migrations.
+    A fault whose page is already on its way merges into that migration
+    (the replayable far-fault hardware of [9]); everything else queues for
+    the scheduler.  Intake itself is fused into
     :meth:`MemorySystem.handle_fault`.
     """
 
@@ -304,20 +224,59 @@ class FaultFrontend:
         self.clock = clock
         self._trace = obs.tracer
         self.pending: Deque[FarFault] = deque()
-        #: vpn -> the in-flight migration that will install it.
-        self.covered = CoverageMap()
+        #: chunk id -> mask of the chunk's pages in flight.
+        self.flight_masks: Dict[int, int] = {}
+        #: chunk id -> the in-flight migrations installing those pages: one,
+        #: unless parallel service slots cover disjoint pages of the chunk.
+        self.flight_migs: Dict[int, List[InFlightMigration]] = {}
         metrics = obs.metrics
         self._m_faults = metrics.counter("gmmu.far_faults")
         self._m_merged = metrics.counter("gmmu.merged_faults")
 
     def covering(self, vpn: int) -> Optional[InFlightMigration]:
-        return self.covered.get(vpn)
+        """The in-flight migration that will install ``vpn``, if any."""
+        ppc = self.uvm.pages_per_chunk
+        cid = vpn // ppc
+        bit = 1 << (vpn - cid * ppc)
+        if not self.flight_masks.get(cid, 0) & bit:
+            return None
+        return self.carrier(cid, bit)
 
-    def cover(self, vpn: int, mig: InFlightMigration) -> None:
-        self.covered[vpn] = mig
+    def carrier(self, chunk_id: int, bit: int) -> InFlightMigration:
+        """The migration carrying the in-flight page ``bit`` of a chunk."""
+        migs = self.flight_migs[chunk_id]
+        if len(migs) == 1:
+            return migs[0]
+        for mig in migs:
+            if mig.masks[chunk_id] & bit:
+                return mig
+        raise SimulationError(
+            f"no in-flight migration carries bit {bit:#x} of chunk {chunk_id}"
+        )
 
-    def uncover(self, vpn: int) -> None:
-        self.covered.pop(vpn, None)
+    def track(self, mig: InFlightMigration) -> None:
+        """Index the pages of a migration that just started."""
+        masks = self.flight_masks
+        migs = self.flight_migs
+        for cid, mask in mig.masks.items():
+            masks[cid] = masks.get(cid, 0) | mask
+            carriers = migs.get(cid)
+            if carriers is None:
+                migs[cid] = [mig]
+            else:
+                carriers.append(mig)
+
+    def release(self, chunk_id: int, mask: int, mig: InFlightMigration) -> None:
+        """Drop the chunk's pages ``mask``, just installed by ``mig``."""
+        left = self.flight_masks[chunk_id] & ~mask
+        if left:
+            self.flight_masks[chunk_id] = left
+            self.flight_migs[chunk_id] = [
+                other for other in self.flight_migs[chunk_id] if other is not mig
+            ]
+        else:
+            del self.flight_masks[chunk_id]
+            del self.flight_migs[chunk_id]
 
     def note_merged(self) -> None:
         """Account one merged (deduplicated) fault."""
@@ -598,14 +557,23 @@ class MigrationScheduler:
     # ------------------------------------------------------- service loop
 
     def pump(self, time: int) -> None:
-        """Fill free service slots from the frontend's pending queue."""
-        while (
-            self._active_services < self.uvm.fault_parallelism
-            and self.frontend.pending
-        ):
-            fault = self.frontend.pending.popleft()
-            if not self.begin_service(fault, time):
+        """Fill free service slots from the frontend's pending queue.
+
+        A popped fault whose page landed while it queued resolves here;
+        only faults that start a migration or merge into one reach
+        :meth:`begin_service`.
+        """
+        pending = self.frontend.pending
+        parallelism = self.uvm.fault_parallelism
+        pt = self.page_table
+        frames = pt._frames
+        while self._active_services < parallelism and pending:
+            fault = pending.popleft()
+            idx = fault.vpn - pt._origin
+            if 0 <= idx < len(frames) and frames[idx] >= 0:
+                fault.on_resolve(time)
                 continue
+            self.begin_service(fault, time)
 
     def max_batch(self) -> int:
         """Largest allowed migration batch.
@@ -617,44 +585,43 @@ class MigrationScheduler:
         return max(self.uvm.pages_per_chunk, self.device.capacity // 2)
 
     def _gather_pages(
-        self, fault: FarFault, in_batch: Set[int]
+        self, fault: FarFault, batch: Dict[int, int]
     ) -> Optional[List[int]]:
         """Consult the prefetcher for ``fault``; returns the page batch or
         None when the fault needs no migration of its own.
 
-        ``in_batch`` holds pages already claimed by the service op being
-        assembled; those are skipped like resident/in-flight pages and, when
-        the demand page itself is among them, the fault simply joins the op.
+        ``batch`` holds the per-chunk masks of pages already claimed by the
+        service op being assembled; those count as occupied like resident
+        and in-flight pages and, when the demand page itself is among them,
+        the fault simply joins the op.
         """
-        if self.frontend.covering(fault.vpn) is not None or fault.vpn in in_batch:
+        ppc = self.uvm.pages_per_chunk
+        vpn = fault.vpn
+        cid = vpn // ppc
+        bit = 1 << (vpn - cid * ppc)
+        flight = self.frontend.flight_masks
+        if (flight.get(cid, 0) | batch.get(cid, 0)) & bit:
             return None
-        # Raw-list skip predicate: prefetchers probe it once per candidate
-        # page, so method indirections add up.
-        covered = self.frontend.covered
-        pt = self.page_table
-        frames = pt._frames
-        p_origin = pt._origin
-        nf = len(frames)
-        slots = covered._slots
-        c_origin = covered._origin
-        ns = len(slots)
+        # Residency comes from the chain's resident masks, which mirror the
+        # page table: only _install_pages sets them, only evict_chunk
+        # clears them.
+        chain = self.chain
+        res_l = chain._res
+        c_origin = chain._origin
+        n = len(res_l)
 
-        def skip(vpn: int) -> bool:
-            i = vpn - p_origin
-            if 0 <= i < nf and frames[i] >= 0:
-                return True
-            j = vpn - c_origin
-            if 0 <= j < ns and slots[j] is not None:
-                return True
-            return vpn in in_batch
+        def occupied(chunk_id: int) -> int:
+            li = chunk_id - c_origin
+            mask = res_l[li] if 0 <= li < n else 0
+            return mask | flight.get(chunk_id, 0) | batch.get(chunk_id, 0)
 
         pages = self.prefetcher.pages_to_migrate(
-            fault.vpn, self.ledger.memory_full, skip, time=fault.time
+            vpn, self.ledger.memory_full, occupied, time=fault.time
         )
-        if not pages or fault.vpn not in pages:
+        if not pages or vpn not in pages:
             raise SimulationError(
                 f"prefetcher {self.prefetcher.name} did not include the "
-                f"demand page {fault.vpn}"
+                f"demand page {vpn}"
             )
         max_batch = self.max_batch()
         if len(pages) > max_batch:
@@ -662,79 +629,87 @@ class MigrationScheduler:
             pages = pages[:max_batch]
         return pages
 
+    def _claim(self, batch: Dict[int, int], pages: List[int]) -> None:
+        """Fold ``pages`` into the op's per-chunk masks."""
+        ppc = self.uvm.pages_per_chunk
+        for vpn in pages:
+            cid = vpn // ppc
+            batch[cid] = batch.get(cid, 0) | 1 << (vpn - cid * ppc)
+
     def begin_service(self, fault: FarFault, time: int) -> bool:
         """Start one fault-service op.  Returns False if the fault resolved
-        without a new migration (page arrived while it was queued).
+        or merged without a new migration.
 
         With ``fault_batch_size > 1`` the op drains further pending faults
         from the buffer, amortising the base service latency across chunks
         (UVM batch processing; the paper's configuration services one fault
         group per op).
         """
-        # Flattened resident/covered checks: most queued faults resolve or
-        # merge right here once their chunk's migration lands.
+        frontend = self.frontend
         pt = self.page_table
         frames = pt._frames
         idx = fault.vpn - pt._origin
         if 0 <= idx < len(frames) and frames[idx] >= 0:
             fault.on_resolve(time)
             return False
-        covering = self.frontend.covered.get(fault.vpn)
+        covering = frontend.covering(fault.vpn)
         if covering is not None:
             covering.attach(fault)
             self.stats.merged_faults += 1
-            self.frontend._m_merged.value += 1
+            frontend._m_merged.value += 1
             return False
 
-        in_batch: Set[int] = set()
-        pages = self._gather_pages(fault, in_batch)
+        batch: Dict[int, int] = {}
+        pages = self._gather_pages(fault, batch)
         assert pages is not None  # neither covered nor in an empty batch
         batch_faults = [fault]
         batch_pages: List[int] = list(pages)
-        in_batch.update(pages)
+        self._claim(batch, pages)
 
         budget = self.uvm.fault_batch_size - 1
         max_total = self.max_batch()
-        pending = self.frontend.pending
+        pending = frontend.pending
+        ppc = self.uvm.pages_per_chunk
         while budget > 0 and pending and len(batch_pages) < max_total:
             nxt = pending[0]
             if self.page_table.is_resident(nxt.vpn):
                 pending.popleft()
                 nxt.on_resolve(time)
                 continue
-            extra = self._gather_pages(nxt, in_batch)
+            extra = self._gather_pages(nxt, batch)
             if extra is None:
                 # Covered by an in-flight migration or by this very batch.
                 pending.popleft()
-                if nxt.vpn in in_batch:
+                cid = nxt.vpn // ppc
+                bit = 1 << (nxt.vpn - cid * ppc)
+                if batch.get(cid, 0) & bit:
                     batch_faults.append(nxt)
-                    self.frontend.note_merged()
+                    frontend.note_merged()
                 else:
-                    covering = self.frontend.covered[nxt.vpn]
-                    self.frontend.merge(nxt, covering)
+                    frontend.merge(nxt, frontend.carrier(cid, bit))
                 continue
             if len(batch_pages) + len(extra) > max_total:
                 break
             pending.popleft()
             batch_faults.append(nxt)
             batch_pages.extend(extra)
-            in_batch.update(extra)
+            self._claim(batch, extra)
             budget -= 1
 
         victims_evicted = self.evictor.ensure_capacity(len(batch_pages), time)
         self.ledger.reserved += len(batch_pages)
 
         mig = InFlightMigration(
-            chunk_id=fault.vpn // self.uvm.pages_per_chunk,
-            pages=set(batch_pages),
+            chunk_id=fault.vpn // ppc,
+            masks=batch,
+            num_pages=len(batch_pages),
+            pages_per_chunk=ppc,
             start_time=time,
             token=self._next_migration_token,
         )
         self._next_migration_token += 1
-        for f in batch_faults:
-            mig.attach(f)
-        for vpn in batch_pages:
-            self.frontend.cover(vpn, mig)
+        mig.faults.extend(batch_faults)
+        frontend.track(mig)
         self.in_flight[mig.token] = mig
         self._active_services += 1
 
@@ -757,7 +732,7 @@ class MigrationScheduler:
 
     def complete_migration(self, mig: InFlightMigration, time: int) -> None:
         self._install_pages(mig, time)
-        migrated = len(mig.pages)
+        migrated = mig.num_pages
         self.ledger.reserved -= migrated
         self.stats.pages_migrated += migrated
         if self._trace.enabled:
@@ -779,20 +754,27 @@ class MigrationScheduler:
     def _install_pages(self, mig: InFlightMigration, time: int) -> None:
         """Map the migrated pages and fold them into their chunks' entries.
 
-        Grows the flat lists once for the batch extremes, then writes
-        frames and masks with raw indexing, chunk by chunk in ascending vpn
-        order (the tree prefetcher's batches can cross chunks).
+        Grows the flat lists once for the batch extremes, then walks the
+        chunks in ascending id (the tree prefetcher's batches can cross
+        chunks).  Per chunk: one frame per page in ascending page order,
+        then one update each of the resident and prefetch masks, the
+        counter and the in-flight mask.
         """
         ppc = self.uvm.pages_per_chunk
-        demand_vpns = {f.vpn for f in mig.faults}
-        pages = sorted(mig.pages)
+        masks = mig.masks
+        chunks = sorted(masks)
+        demand_masks: Dict[int, int] = {}
+        for f in mig.faults:
+            cid = f.vpn // ppc
+            demand_masks[cid] = demand_masks.get(cid, 0) | 1 << (f.vpn - cid * ppc)
         chain = self.chain
         pt = self.page_table
         # The lists are contiguous, so covering both extremes covers the batch.
-        pt._ensure(pages[0])
-        pt._ensure(pages[-1])
-        chain._ensure(pages[0] // ppc)
-        chain._ensure(pages[-1] // ppc)
+        low = masks[chunks[0]]
+        pt._ensure(chunks[0] * ppc + (low & -low).bit_length() - 1)
+        pt._ensure(chunks[-1] * ppc + masks[chunks[-1]].bit_length() - 1)
+        chain._ensure(chunks[0])
+        chain._ensure(chunks[-1])
         p_origin = pt._origin
         frames = pt._frames
         acc = pt._accessed
@@ -804,46 +786,39 @@ class MigrationScheduler:
         inch = chain._inch
         device = self.device
         free = device._free
-        if len(free) < len(pages):
+        n = mig.num_pages
+        if len(free) < n:
             raise CapacityError("device memory exhausted")
-        uncover = self.frontend.uncover
+        frontend = self.frontend
         interval = self.clock.current_interval
         demand = 0
-        prefetched = 0
-        by_chunk: Dict[int, List[int]] = {}
-        for vpn in pages:
-            by_chunk.setdefault(vpn // ppc, []).append(vpn)
-        for chunk_id, vpns in by_chunk.items():
+        for chunk_id in chunks:
+            mask = masks[chunk_id]
             li = chunk_id - c_origin
             is_new = not inch[li]
             if is_new:
                 chain.new_entry(chunk_id, interval)
-            base = chunk_id * ppc
-            res = res_l[li]
-            pfm = pfm_l[li]
-            for vpn in vpns:
-                idx = vpn - p_origin
+            first = chunk_id * ppc - p_origin
+            m = mask
+            while m:  # ascending page order
+                bit = m & -m
+                m ^= bit
+                idx = first + bit.bit_length() - 1
                 if frames[idx] >= 0:
-                    raise SimulationError(f"vpn {vpn} already mapped")
+                    raise SimulationError(f"vpn {idx + p_origin} already mapped")
                 frames[idx] = free.pop()
                 acc[idx] = 0
                 drt[idx] = 0
-                bit = 1 << (vpn - base)
-                res |= bit
-                if vpn in demand_vpns:
-                    demand += 1
-                else:
-                    pfm |= bit
-                    prefetched += 1
-                uncover(vpn)
-            res_l[li] = res
-            pfm_l[li] = pfm
+            dmask = demand_masks.get(chunk_id, 0) & mask
+            demand += bin(dmask).count("1")
+            res_l[li] |= mask
+            pfm_l[li] |= mask ^ dmask
             # HPE-style counter pollution: migration bumps the counter by the
             # number of pages migrated (Inefficiency 1 of the paper).
-            ctr_l[li] = min(16, ctr_l[li] + len(vpns))
+            ctr_l[li] = min(16, ctr_l[li] + bin(mask).count("1"))
+            frontend.release(chunk_id, mask, mig)
             if is_new:
                 self.policy.insert_chunk(chain._handle(li), time)
-        n = len(pages)
         device._allocated += n
         if device._allocated > device.peak_allocated:
             device.peak_allocated = device._allocated
@@ -851,7 +826,7 @@ class MigrationScheduler:
         if pt._resident > pt.resident_peak:
             pt.resident_peak = pt._resident
         self.stats.demand_pages += demand
-        self.stats.prefetched_pages += prefetched
+        self.stats.prefetched_pages += n - demand
 
 
 class MemorySystem:
@@ -1006,18 +981,19 @@ class MemorySystem:
         frontend._m_faults.value += 1
         kind = self._policy_kind
         vpn = fault.vpn
+        ppc = self.uvm.pages_per_chunk
+        cid = vpn // ppc
         if kind != "lru" and kind != "ref":
             # Only HPE/MHPE (and unknown policies) implement on_fault; the
             # base-class hook is a no-op for the exact-matched LRU kinds.
-            self.policy.on_fault(vpn, vpn // self.uvm.pages_per_chunk, fault.time)
+            self.policy.on_fault(vpn, cid, fault.time)
         if frontend._trace.enabled:
             frontend._trace.emit(
-                "fault", fault.time, chunk=vpn // self.uvm.pages_per_chunk,
-                **fault.trace_args(),
+                "fault", fault.time, chunk=cid, **fault.trace_args(),
             )
-        mig = frontend.covered.get(vpn)
-        if mig is not None:
-            mig.attach(fault)
+        bit = 1 << (vpn - cid * ppc)
+        if frontend.flight_masks.get(cid, 0) & bit:
+            frontend.carrier(cid, bit).attach(fault)
             stats.merged_faults += 1
             frontend._m_merged.value += 1
             return

@@ -15,7 +15,7 @@ class DisabledPrefetcher(Prefetcher):
     name = "none"
 
     def pages_to_migrate(
-        self, vpn: int, memory_full: bool, skip: Callable[[int], bool],
+        self, vpn: int, memory_full: bool, occupied: Callable[[int], int],
         time: int = 0,
     ) -> List[int]:
-        return [] if skip(vpn) else [vpn]
+        return self._demand_page(vpn, occupied)

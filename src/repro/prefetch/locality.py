@@ -39,13 +39,13 @@ class LocalityPrefetcher(Prefetcher):
         self._m_batch_pages = metrics.histogram("prefetch.batch_pages")
 
     def pages_to_migrate(
-        self, vpn: int, memory_full: bool, skip: Callable[[int], bool],
+        self, vpn: int, memory_full: bool, occupied: Callable[[int], int],
         time: int = 0,
     ) -> List[int]:
         if memory_full and self.on_full == "stop":
             self._m_demand_only.inc()
-            return [] if skip(vpn) else [vpn]
-        pages = self._chunk_pages(vpn, skip)
+            return self._demand_page(vpn, occupied)
+        pages = self._chunk_pages(vpn, occupied)
         self._m_batches.inc()
         self._m_batch_pages.observe(len(pages))
         return pages

@@ -36,7 +36,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ConfigError
 from ..registry import register
-from .base import Prefetcher
+from .base import Prefetcher, mask_pages
 
 __all__ = ["NGramPrefetcher"]
 
@@ -129,7 +129,7 @@ class NGramPrefetcher(Prefetcher):
         self,
         vpn: int,
         memory_full: bool,
-        skip: Callable[[int], bool],
+        occupied: Callable[[int], int],
         time: int = 0,
     ) -> List[int]:
         ppc = self.ctx.pages_per_chunk
@@ -137,15 +137,16 @@ class NGramPrefetcher(Prefetcher):
         # A fault into a chunk proves it live again: lift the blacklist.
         self._evicted.pop(chunk, None)
         self._observe(chunk)
-        pages = self._chunk_pages(vpn, skip)
+        pages = self._chunk_pages(vpn, occupied)
         if memory_full:
             return pages  # demand chunk only: no speculation at capacity
         predicted = self._predict()
         if predicted is None or predicted == chunk:
             return pages
         self.predictions += 1
-        base = predicted * ppc
-        pages.extend(p for p in range(base, base + ppc) if not skip(p))
+        pages.extend(
+            mask_pages(predicted * ppc, ~occupied(predicted) & ((1 << ppc) - 1))
+        )
         return pages
 
     def on_chunk_evicted(

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from ..config import PatternBufferConfig
-from .base import Prefetcher
+from .base import Prefetcher, mask_pages
 
 __all__ = ["PatternEntry", "PatternBuffer", "PatternAwarePrefetcher"]
 
@@ -141,14 +141,14 @@ class PatternAwarePrefetcher(Prefetcher):
     # --- prefetch decision ----------------------------------------------------
 
     def pages_to_migrate(
-        self, vpn: int, memory_full: bool, skip: Callable[[int], bool],
+        self, vpn: int, memory_full: bool, occupied: Callable[[int], int],
         time: int = 0,
     ) -> List[int]:
         ppc = self.ctx.pages_per_chunk
         chunk_id = vpn // ppc
         entry = self.buffer.get(chunk_id)
         if entry is None:
-            return self._chunk_pages(vpn, skip)
+            return self._chunk_pages(vpn, occupied)
 
         stats = self.ctx.stats
         page_index = vpn % ppc
@@ -159,12 +159,9 @@ class PatternAwarePrefetcher(Prefetcher):
                 entry.first_matched = True
             stats.pattern_hits += 1
             self._m_hits.inc()
-            base = chunk_id * ppc
-            pages = [] if skip(vpn) else [vpn]
-            for i in range(ppc):
-                p = base + i
-                if p != vpn and entry.matches(i) and not skip(p):
-                    pages.append(p)
+            # The faulted page matches, so it leads unless it is occupied.
+            wanted = entry.touched_mask & ~occupied(chunk_id) & ((1 << ppc) - 1)
+            pages = mask_pages(chunk_id * ppc, wanted, vpn)
             stats.pattern_prefetches += max(0, len(pages) - 1)
             if self._trace.enabled:
                 self._trace.emit(
@@ -189,4 +186,4 @@ class PatternAwarePrefetcher(Prefetcher):
             )
             if deleted:
                 self._trace.emit("pattern_delete", time, chunk=chunk_id)
-        return self._chunk_pages(vpn, skip)
+        return self._chunk_pages(vpn, occupied)

@@ -13,10 +13,10 @@ compares the two under LRU.
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import Callable, List, Tuple
 
 from ..errors import ConfigError
-from .base import Prefetcher
+from .base import Prefetcher, mask_pages
 
 __all__ = ["TreeNeighborhoodPrefetcher"]
 
@@ -39,49 +39,62 @@ class TreeNeighborhoodPrefetcher(Prefetcher):
         self.name = f"tree/{on_full}"
 
     def pages_to_migrate(
-        self, vpn: int, memory_full: bool, skip: Callable[[int], bool],
+        self, vpn: int, memory_full: bool, occupied: Callable[[int], int],
         time: int = 0,
     ) -> List[int]:
         if memory_full and self.on_full == "stop":
-            return [] if skip(vpn) else [vpn]
+            return self._demand_page(vpn, occupied)
 
         ppc = self.ctx.pages_per_chunk
+        full = (1 << ppc) - 1
         # Start from the faulted basic block (chunk).
-        node_base = (vpn // ppc) * ppc
+        chunk_id = vpn // ppc
+        node_base = chunk_id * ppc
         node_size = ppc
-        pages = self._collect(node_base, node_size, vpn, skip)
+        # Per chunk id: its occupied mask (one callback per chunk), and the
+        # mask of its pages already in ``pages``.
+        occ = {chunk_id: occupied(chunk_id)}
+        taken = {chunk_id: ~occ[chunk_id] & full}
+        pages = mask_pages(node_base, taken[chunk_id], vpn)
 
         # Walk up the tree while the enclosing node would be >50% valid
         # after this migration.
         region_base = (vpn // self.region_pages) * self.region_pages
-        valid = set(pages)
         while node_size < self.region_pages:
             parent_size = node_size * 2
             parent_base = region_base + ((node_base - region_base) // parent_size) * parent_size
-            occupied = sum(
-                1
-                for p in range(parent_base, parent_base + parent_size)
-                if skip(p) or p in valid
-            )
+            spans = _chunk_spans(parent_base, parent_base + parent_size, ppc)
+            valid = 0
+            for cid, bits in spans:
+                mask = occ.get(cid)
+                if mask is None:
+                    mask = occ[cid] = occupied(cid)
+                valid += bin((mask | taken.get(cid, 0)) & bits).count("1")
             # '>=': completing one half of a node triggers the other half,
             # which is what produces the geometrically growing migration
             # sizes Ganguly et al. measured from the CUDA driver.
-            if occupied / parent_size < self.occupancy_threshold:
+            if valid / parent_size < self.occupancy_threshold:
                 break
-            extra = self._collect(parent_base, parent_size, vpn, skip)
-            for p in extra:
-                if p not in valid:
-                    pages.append(p)
-                    valid.add(p)
+            for cid, bits in spans:
+                new = bits & ~occ[cid] & ~taken.get(cid, 0)
+                if new:
+                    taken[cid] = taken.get(cid, 0) | new
+                    pages.extend(mask_pages(cid * ppc, new))
             node_base, node_size = parent_base, parent_size
         return pages
 
-    def _collect(
-        self, base: int, size: int, faulted: int, skip: Callable[[int], bool]
-    ) -> List[int]:
-        """Non-skipped pages of [base, base+size), faulted page first."""
-        pages = [] if skip(faulted) or not base <= faulted < base + size else [faulted]
-        pages.extend(
-            p for p in range(base, base + size) if p != faulted and not skip(p)
-        )
-        return pages
+
+def _chunk_spans(lo: int, hi: int, ppc: int) -> List[Tuple[int, int]]:
+    """``(chunk id, mask of its pages inside [lo, hi))`` for every chunk
+    overlapping the page range, in ascending chunk order."""
+    spans = []
+    full = (1 << ppc) - 1
+    for cid in range(lo // ppc, (hi - 1) // ppc + 1):
+        base = cid * ppc
+        bits = full
+        if lo > base:
+            bits &= full << (lo - base)
+        if hi < base + ppc:
+            bits &= (1 << (hi - base)) - 1
+        spans.append((cid, bits))
+    return spans

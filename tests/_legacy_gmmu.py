@@ -7,9 +7,13 @@ byte-identical to the monolith it replaced.  The only mechanical
 adaptations: the ``PolicyContext`` construction uses the narrowed
 ``clock=`` protocol field (via the ``_MonolithClock`` adapter below)
 instead of the removed ``get_interval`` callback — the values observed by
-policies are identical — and the page table and chunk chain come from
-``_legacy_structures`` (the object-graph representations, moved out of the
-package unchanged).  Do not modernise this file.
+policies are identical — the page table, chunk chain and per-page
+``InFlightMigration`` come from ``_legacy_structures`` (the object-graph
+representations, moved out of the package unchanged), and
+``_gather_pages`` hands the prefetcher the ``occupied(chunk_id) -> mask``
+callback of the current prefetcher interface, built page by page from the
+same residency/coverage/batch membership tests the old ``skip`` predicate
+made.  Do not modernise this file.
 
 Original docstring:
 
@@ -47,9 +51,9 @@ from repro.obs import DISABLED, Observability
 from repro.policies.base import EvictionPolicy, PolicyContext
 from repro.prefetch.base import PrefetchContext, Prefetcher
 from repro.translation.hierarchy import TranslationHierarchy
-from _legacy_structures import ChunkChain, ChunkEntry, PageTable
+from _legacy_structures import ChunkChain, ChunkEntry, InFlightMigration, PageTable
 from repro.memsim.device_memory import DeviceMemory
-from repro.memsim.fault import FarFault, InFlightMigration
+from repro.memsim.fault import FarFault
 from repro.memsim.pcie import PCIeLink
 
 __all__ = ["GMMU"]
@@ -220,8 +224,14 @@ class GMMU:
         resident = self.page_table.is_resident
         covered = self._covered
         skip = lambda vpn: resident(vpn) or vpn in covered or vpn in in_batch
+        ppc = self.uvm.pages_per_chunk
+
+        def occupied(chunk_id: int) -> int:
+            base = chunk_id * ppc
+            return sum(1 << i for i in range(ppc) if skip(base + i))
+
         pages = self.prefetcher.pages_to_migrate(
-            fault.vpn, self.memory_full, skip, time=fault.time
+            fault.vpn, self.memory_full, occupied, time=fault.time
         )
         if not pages or fault.vpn not in pages:
             raise SimulationError(

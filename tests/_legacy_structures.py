@@ -2,7 +2,8 @@
 
 The dict-backed :class:`PageTable` and the linked :class:`ChunkChain` the
 simulator used before the flat-list representation became its only one,
-moved here unchanged.  ``tests/_legacy_gmmu.py`` (the pre-refactor
+moved here unchanged, and the per-page :class:`InFlightMigration` (a set of
+vpns) the simulator used before in-flight pages became per-chunk masks.  ``tests/_legacy_gmmu.py`` (the pre-refactor
 monolith) runs on them, so the differential tests compare the production
 pipeline against an independent representation, and
 ``tests/test_array_structures.py`` compares each production structure with
@@ -11,12 +12,14 @@ its reference operation by operation.  Do not modernise this file.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import SimulationError
 from repro.memsim.chunk_chain import ChunkEntry as _PlainEntry
+from repro.memsim.fault import FarFault
 
-__all__ = ["ChunkEntry", "ChunkChain", "PageTable"]
+__all__ = ["ChunkEntry", "ChunkChain", "InFlightMigration", "PageTable"]
 
 _BITS_PER_LEVEL = 9
 
@@ -271,3 +274,32 @@ class PageTable:
             shift = _BITS_PER_LEVEL * (self.levels - 1 - level)
             keys.append((level, vpn >> shift))
         return tuple(keys)
+
+
+@dataclass
+class InFlightMigration:
+    """A fault-service operation the GMMU is currently executing."""
+
+    chunk_id: int
+    pages: Set[int]  # VPNs being migrated in
+    faults: List[FarFault] = field(default_factory=list)
+    start_time: int = 0
+    finish_time: int = 0
+    #: Issue-order token assigned by the GMMU; stable across processes
+    #: (unlike ``id()``), so it can key bookkeeping tables.
+    token: int = -1
+
+    def covers(self, vpn: int) -> bool:
+        return vpn in self.pages
+
+    def attach(self, fault: FarFault) -> None:
+        self.faults.append(fault)
+
+    def trace_args(self) -> Dict[str, Any]:
+        """Structured-event payload for the observability tracer."""
+        return {
+            "chunk": self.chunk_id,
+            "pages": len(self.pages),
+            "faults": len(self.faults),
+            "token": self.token,
+        }

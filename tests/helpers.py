@@ -77,8 +77,23 @@ def populate(policy: EvictionPolicy, chunk_ids: List[int], interval: int = 0,
     return [chain.get(cid) for cid in chunk_ids]
 
 
-def never_skip(vpn: int) -> bool:
-    return False
+def never_occupied(chunk_id: int) -> int:
+    """A prefetcher ``occupied`` callback for an empty device."""
+    return 0
+
+
+def occupied_by(pages, pages_per_chunk: int = 16):
+    """A prefetcher ``occupied`` callback that reports ``pages`` as
+    resident or in flight."""
+    pages = set(pages)
+
+    def occupied(chunk_id: int) -> int:
+        base = chunk_id * pages_per_chunk
+        return sum(
+            1 << i for i in range(pages_per_chunk) if base + i in pages
+        )
+
+    return occupied
 
 
 def _legacy_page_table(config, workload):

@@ -2,8 +2,9 @@
 
 Hypothesis drives random operation sequences against a
 (:class:`PageTable`, reference dict page table) pair, a (:class:`ChunkChain`,
-reference linked chain) pair and a (:class:`CoverageMap`, dict) pair,
-asserting the observable state agrees after every step.  The references
+reference linked chain) pair and a (per-chunk in-flight index of
+:class:`FaultFrontend`, per-page dict) pair, asserting the observable state
+agrees after every step.  The references
 live in ``tests/_legacy_structures.py``.  This is the unit-level
 counterpart of ``tests/test_system_differential.py``: the differential
 suite proves whole simulations byte-identical, these properties localise
@@ -23,7 +24,11 @@ from _legacy_structures import ChunkChain as LinkedChunkChain
 from _legacy_structures import PageTable as DictPageTable
 from repro.memsim.chunk_chain import ChunkChain
 from repro.memsim.page_table import PageTable
-from repro.memsim.system import CoverageMap
+from repro.config import SimConfig
+from repro.engine.stats import SimStats
+from repro.memsim.fault import InFlightMigration
+from repro.memsim.system import FaultFrontend
+from repro.obs import DISABLED
 
 #: A few ids below / around zero, a band at the workload base: exercises
 #: in-place growth at both ends plus negative indices (which must NOT wrap
@@ -176,25 +181,82 @@ class TestArrayChunkChain:
             )
 
 
+def _frontend() -> FaultFrontend:
+    return FaultFrontend(SimConfig().uvm, SimStats(), None, None, DISABLED)
+
+
+def _migration(pages, token, ppc=16):
+    masks = {}
+    for vpn in pages:
+        masks[vpn // ppc] = masks.get(vpn // ppc, 0) | 1 << (vpn % ppc)
+    return InFlightMigration(
+        chunk_id=pages[0] // ppc, masks=masks, num_pages=len(pages),
+        pages_per_chunk=ppc, token=token,
+    )
+
+
+def _land(frontend, mig):
+    for cid, mask in mig.masks.items():
+        frontend.release(cid, mask, mig)
+
+
 class TestArrayCoverage:
-    @settings(max_examples=40, deadline=None)
+    """The frontend's per-chunk in-flight masks against a per-page dict."""
+
+    @settings(max_examples=60, deadline=None)
     @given(
         ops=st.lists(
-            st.tuples(st.sampled_from(["set", "pop", "get"]), VPNS),
-            max_size=60,
+            st.tuples(
+                st.sampled_from(["start", "land", "probe"]),
+                st.lists(VPNS, min_size=1, max_size=20),
+                st.integers(min_value=0, max_value=7),
+            ),
+            max_size=40,
         )
     )
     def test_matches_dict(self, ops):
-        arr = CoverageMap()
-        obj = {}
-        for op, vpn in ops:
-            token = object()  # stands in for an InFlightMigration
-            if op == "set":
-                arr[vpn] = token
-                obj[vpn] = token
-            elif op == "pop":
-                assert arr.pop(vpn, None) is obj.pop(vpn, None)
-            else:
-                assert arr.get(vpn) is obj.get(vpn)
-            assert len(arr) == len(obj)
-            assert (vpn in arr) == (vpn in obj)
+        frontend = _frontend()
+        obj = {}  # vpn -> migration
+        live = []
+        probes = sorted({vpn for _, vpns, _ in ops for vpn in vpns})
+        for token, (op, vpns, pick) in enumerate(ops):
+            if op == "start":
+                # A migration never takes a page that is already in flight.
+                pages = sorted({v for v in vpns if v not in obj})
+                if pages:
+                    mig = _migration(pages, token)
+                    frontend.track(mig)
+                    obj.update((vpn, mig) for vpn in pages)
+                    live.append(mig)
+            elif op == "land" and live:
+                mig = live.pop(pick % len(live))
+                _land(frontend, mig)
+                for vpn in [v for v, m in obj.items() if m is mig]:
+                    del obj[vpn]
+            for vpn in probes:
+                assert frontend.covering(vpn) is obj.get(vpn)
+                for mig in live:
+                    assert mig.covers(vpn) == (obj.get(vpn) is mig)
+            assert set(frontend.flight_masks) == set(frontend.flight_migs)
+            assert sorted(frontend.flight_masks) == sorted(
+                {vpn // 16 for vpn in obj}
+            )
+
+    def test_two_migrations_in_one_chunk(self):
+        # Parallel service slots can bring in disjoint pages of one chunk.
+        frontend = _frontend()
+        first = _migration([0x80000, 0x80001], token=0)
+        second = _migration([0x80004, 0x80010], token=1)
+        frontend.track(first)
+        frontend.track(second)
+        assert frontend.flight_masks == {0x8000: 0b10011, 0x8001: 0b1}
+        assert frontend.covering(0x80001) is first
+        assert frontend.covering(0x80004) is second
+        assert frontend.covering(0x80002) is None
+        _land(frontend, first)
+        assert frontend.flight_masks == {0x8000: 0b10000, 0x8001: 0b1}
+        assert [id(m) for m in frontend.flight_migs[0x8000]] == [id(second)]
+        assert frontend.covering(0x80000) is None
+        assert frontend.covering(0x80004) is second
+        _land(frontend, second)
+        assert frontend.flight_masks == frontend.flight_migs == {}

@@ -26,7 +26,7 @@ class OmittingPrefetcher(Prefetcher):
 
     name = "broken-omit"
 
-    def pages_to_migrate(self, vpn, memory_full, skip, time=0):
+    def pages_to_migrate(self, vpn, memory_full, occupied, time=0):
         return []
 
 

@@ -102,9 +102,13 @@ class TestRepoClosures:
         # The SM schedules its burst loop as a bound-method callback
         # (``events.schedule(t, self._run_fast if self._fast else
         # self._run)``): the loop and everything it calls — fault intake,
-        # victim selection — hang off that one argument edge.
+        # victim selection — hang off that one argument edge.  Each far
+        # fault binds its resolver the same way
+        # (``partial(self._resolve_fast, vpn, is_write)``).
         for qual in (
             "repro.engine.sm.StreamingMultiprocessor._run_fast",
+            "repro.engine.sm.StreamingMultiprocessor._resolve_fast",
+            "repro.engine.sm.StreamingMultiprocessor._resolve",
             "repro.memsim.system.MemorySystem.handle_fault",
             "repro.policies.lru.LRUPolicy.select_victims",
         ):

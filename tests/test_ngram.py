@@ -18,7 +18,7 @@ import pickle
 
 import pytest
 
-from helpers import attach_prefetcher, never_skip, result_bytes, simulate
+from helpers import attach_prefetcher, never_occupied, result_bytes, simulate
 from repro.config import SimConfig, SMConfig
 from repro.errors import ConfigError
 from repro.harness.cache import _PICKLE_PROTOCOL
@@ -28,7 +28,7 @@ from repro.prefetch.ngram import NGramPrefetcher
 
 def _fault(prefetcher, chunk, memory_full=False):
     ppc = prefetcher.ctx.pages_per_chunk
-    return prefetcher.pages_to_migrate(chunk * ppc, memory_full, never_skip)
+    return prefetcher.pages_to_migrate(chunk * ppc, memory_full, never_occupied)
 
 
 def _chunks(prefetcher, pages):

@@ -9,7 +9,7 @@ from repro.prefetch.pattern_aware import (
     PatternEntry,
 )
 
-from helpers import attach_prefetcher, never_skip
+from helpers import attach_prefetcher, never_occupied, occupied_by
 
 EVEN_MASK = 0x5555  # pages 0,2,4,... touched (stride 2)
 
@@ -124,13 +124,13 @@ class TestCoordination:
 class TestPrefetchDecision:
     def test_unknown_chunk_migrates_whole_chunk(self):
         pf, _ = make_prefetcher()
-        pages = pf.pages_to_migrate(35, True, never_skip)
+        pages = pf.pages_to_migrate(35, True, never_occupied)
         assert sorted(pages) == list(range(32, 48))
 
     def test_pattern_match_migrates_only_touched_pages(self):
         pf, stats = make_prefetcher()
         pf.on_chunk_evicted(2, EVEN_MASK, 8, strategy="lru")
-        pages = pf.pages_to_migrate(32, True, never_skip)  # page 0: even -> match
+        pages = pf.pages_to_migrate(32, True, never_occupied)  # page 0: even -> match
         assert sorted(pages) == [32 + i for i in range(0, 16, 2)]
         assert stats.pattern_hits == 1
         assert stats.pattern_prefetches == 7
@@ -138,7 +138,7 @@ class TestPrefetchDecision:
     def test_pattern_mismatch_migrates_whole_chunk(self):
         pf, stats = make_prefetcher()
         pf.on_chunk_evicted(2, EVEN_MASK, 8, strategy="lru")
-        pages = pf.pages_to_migrate(33, True, never_skip)  # page 1: odd -> mismatch
+        pages = pf.pages_to_migrate(33, True, never_occupied)  # page 1: odd -> mismatch
         assert sorted(pages) == list(range(32, 48))
         assert stats.pattern_mismatches == 1
         assert 2 not in pf.buffer  # scheme-2, first lookup mismatched
@@ -149,15 +149,15 @@ class TestPrefetchDecision:
         for scheme, kept in ((1, False), (2, True)):
             pf, _ = make_prefetcher(scheme=scheme)
             pf.on_chunk_evicted(2, EVEN_MASK, 8, strategy="lru")
-            pf.pages_to_migrate(32, True, never_skip)  # match (even page)
-            pf.pages_to_migrate(33, True, never_skip)  # mismatch (odd page)
+            pf.pages_to_migrate(32, True, never_occupied)  # match (even page)
+            pf.pages_to_migrate(33, True, never_occupied)  # mismatch (odd page)
             assert (2 in pf.buffer) is kept, f"scheme {scheme}"
 
     def test_match_excludes_resident_pages(self):
         pf, _ = make_prefetcher()
         pf.on_chunk_evicted(2, EVEN_MASK, 8, strategy="lru")
         resident = {34, 36}
-        pages = pf.pages_to_migrate(32, True, lambda v: v in resident)
+        pages = pf.pages_to_migrate(32, True, occupied_by(resident))
         assert 34 not in pages and 36 not in pages
         assert 32 in pages
 

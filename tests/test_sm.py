@@ -118,3 +118,20 @@ class TestReplayableFaults:
         events.run()
         assert sm.done
         assert stats.accesses == 128
+
+
+class TestTraceWindow:
+    def test_finished_sms_release_their_window(self):
+        # The fused loop boxes up to 4,096 accesses at a time.  A finished
+        # simulation is freed only by the cyclic collector (Simulator <-> SM
+        # through on_finish), so each SM drops its window as it finishes.
+        from repro.engine.simulator import Simulator
+        from repro.workloads.suite import make_workload
+
+        sim = Simulator(make_workload("NW", scale=0.25), oversubscription=0.5)
+        assert all(sm._fast for sm in sim.sms)
+        sim.run()
+        assert sim.sms
+        for sm in sim.sms:
+            assert sm.done
+            assert sm._boxed is None and sm._boxed_writes is None

@@ -18,7 +18,7 @@ import dataclasses
 import pytest
 
 from helpers import result_bytes, simulate
-from repro.config import SimConfig, TLBConfig
+from repro.config import SimConfig, SMConfig, TLBConfig
 from repro.obs import Observability, write_jsonl
 
 #: The paper's policy families: LRU (baseline), HPE, MHPE alone, full CPPE,
@@ -49,6 +49,38 @@ class TestByteIdenticalResults:
         staged = simulate("NW", "baseline", 0.5, monkeypatch, False, config=config)
         legacy = simulate("NW", "baseline", 0.5, monkeypatch, True, config=config)
         assert staged.crashed and legacy.crashed
+        assert result_bytes(staged) == result_bytes(legacy)
+
+    @pytest.mark.parametrize("num_sms", [1, 2])
+    def test_crash_inside_burst_matches_monolith(self, num_sms, monkeypatch):
+        # With one or two SMs the budget trips inside a handle_fault that
+        # the fused burst loop called, not in an event callback: the loop's
+        # counters must reach the stats on that exception path too.
+        base = SimConfig()
+        config = base.with_(
+            sm=SMConfig(num_sms=num_sms),
+            uvm=dataclasses.replace(base.uvm, crash_eviction_budget_factor=0.5),
+        )
+        staged = simulate("NW", "baseline", 0.5, monkeypatch, False, config=config)
+        legacy = simulate("NW", "baseline", 0.5, monkeypatch, True, config=config)
+        assert staged.crashed and legacy.crashed
+        assert result_bytes(staged) == result_bytes(legacy)
+
+    @pytest.mark.parametrize("setup", ["cppe", "tree", "no-prefetch"])
+    @pytest.mark.parametrize("app", ["NW", "BFS"])
+    @pytest.mark.parametrize(
+        "uvm", [{"fault_parallelism": 2}, {"fault_batch_size": 4}],
+        ids=["parallel2", "batch4"],
+    )
+    def test_concurrent_migrations_match_monolith(self, uvm, app, setup,
+                                                  monkeypatch):
+        # The default settings keep at most one migration in flight; these
+        # put several in flight (and two in one chunk) or batch several
+        # fault groups into one op, through the in-flight index.
+        base = SimConfig()
+        config = base.with_(uvm=dataclasses.replace(base.uvm, **uvm))
+        staged = simulate(app, setup, 0.5, monkeypatch, False, config=config)
+        legacy = simulate(app, setup, 0.5, monkeypatch, True, config=config)
         assert result_bytes(staged) == result_bytes(legacy)
 
     @pytest.mark.parametrize("app", ["NW", "BFS"])
