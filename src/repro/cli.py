@@ -41,16 +41,6 @@ Commands
 ``lint``
     Static determinism / cache-integrity / parallel-safety analysis
     (see LINTING.md).  Exit code 0 = clean, 1 = findings, 2 = usage error.
-``serve``
-    Run the always-on experiment service (``repro.service``): an HTTP API
-    that queues submitted batches, drains them through the parallel
-    engine + result cache, and streams NDJSON progress events.
-``submit``
-    Client for a running service: POST a batch (built from flags or a
-    JSON file), optionally wait for and print the outcome.
-``status``
-    Client for a running service: list batches, fetch one batch's status,
-    or stream its event log.
 """
 
 from __future__ import annotations
@@ -337,71 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     comp_desc.add_argument("kind", choices=registry_mod.KINDS)
     comp_desc.add_argument("name")
     comp_desc.add_argument("--json", action="store_true")
-
-    serve_p = sub.add_parser(
-        "serve",
-        help="run the always-on experiment service (HTTP submit/queue/stream)",
-    )
-    serve_p.add_argument("--host", default="127.0.0.1")
-    serve_p.add_argument("--port", type=int, default=8765)
-    serve_p.add_argument(
-        "--state-dir", default="service-state",
-        help="job snapshot directory; a restarted service resumes the "
-             "queue found here (default: ./service-state)",
-    )
-    serve_p.add_argument("--jobs", "-j", type=int, default=1,
-                         help="worker processes per batch (default: 1)")
-    serve_p.add_argument(
-        "--cache-dir", default=None,
-        help="result cache directory (default: $REPRO_CACHE_DIR or "
-             "~/.cache/repro-cppe)",
-    )
-    serve_p.add_argument("--no-cache", action="store_true",
-                         help="bypass the persistent result cache")
-    serve_p.add_argument(
-        "--timeout-s", type=float, default=None,
-        help="reap a batch's workers after this long without progress",
-    )
-    serve_p.add_argument("--retries", type=int, default=2,
-                         help="broken-pool rebuild attempts (default: 2)")
-
-    submit_p = sub.add_parser(
-        "submit", help="submit a batch to a running experiment service"
-    )
-    submit_p.add_argument("apps", nargs="*",
-                          help="benchmark abbreviations (one spec each)")
-    submit_p.add_argument("--url", default="http://127.0.0.1:8765",
-                          help="service base URL")
-    submit_p.add_argument("--setup", default="cppe", type=_setup_arg,
-                          metavar="SETUP",
-                          help=_setup_help("setup for every spec"))
-    submit_p.add_argument("--rate", type=float, default=0.5,
-                          help="oversubscription rate (>= 1 disables)")
-    submit_p.add_argument("--scale", type=float, default=1.0)
-    submit_p.add_argument("--seed", type=int, default=None)
-    submit_p.add_argument("--tenant", default="default")
-    submit_p.add_argument("--priority", type=int, default=0)
-    submit_p.add_argument(
-        "--spec-file", metavar="PATH", default=None,
-        help="read the full submission payload from this JSON file "
-             "('-' = stdin) instead of building it from flags",
-    )
-    submit_p.add_argument("--no-wait", action="store_true",
-                          help="return immediately after enqueueing")
-    submit_p.add_argument("--json", action="store_true",
-                          help="print the final status view as JSON")
-
-    status_p = sub.add_parser(
-        "status", help="query a running experiment service"
-    )
-    status_p.add_argument("job", nargs="?", default=None,
-                          help="batch id (omit to list all batches)")
-    status_p.add_argument("--url", default="http://127.0.0.1:8765")
-    status_p.add_argument("--events", action="store_true",
-                          help="print the batch's NDJSON event log")
-    status_p.add_argument("--follow", action="store_true",
-                          help="with --events: stream until the batch ends")
-    status_p.add_argument("--json", action="store_true")
 
     cache_p = sub.add_parser("cache", help="inspect or clear the result cache")
     cache_sub = cache_p.add_subparsers(dest="cache_command", required=True)
@@ -858,127 +783,6 @@ def _cmd_components(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from .service import ExperimentService, ServiceConfig
-    from .service.server import serve
-
-    _select_cache(args.cache_dir, args.no_cache)
-    service = ExperimentService(
-        ServiceConfig(
-            state_dir=args.state_dir,
-            jobs=args.jobs,
-            use_cache=not args.no_cache,
-            fault_retries=args.retries,
-            spec_timeout_s=args.timeout_s,
-        )
-    )
-    print(
-        f"repro service on http://{args.host}:{args.port} "
-        f"(state: {args.state_dir}, jobs: {args.jobs})",
-        file=sys.stderr,
-    )
-    serve(service, host=args.host, port=args.port)
-    return 0
-
-
-def _cmd_submit(args: argparse.Namespace) -> int:
-    from .service.client import ServiceClient
-
-    if args.spec_file:
-        if args.spec_file == "-":
-            payload = json.load(sys.stdin)
-        else:
-            with open(args.spec_file, encoding="utf-8") as handle:
-                payload = json.load(handle)
-    else:
-        if not args.apps:
-            print("repro submit: give APP names or --spec-file",
-                  file=sys.stderr)
-            return 2
-        payload = {
-            "specs": [
-                {
-                    "app": app,
-                    "setup": args.setup,
-                    "oversubscription": args.rate,
-                    "scale": args.scale,
-                    "seed": args.seed,
-                }
-                for app in args.apps
-            ],
-            "tenant": args.tenant,
-            "priority": args.priority,
-        }
-    client = ServiceClient(args.url)
-    view = client.submit(payload)
-    job_id = view["job"]
-    print(f"queued {job_id} ({len(view['specs'])} spec(s))", file=sys.stderr)
-    if not args.no_wait:
-        view = client.wait(job_id)
-    if args.json:
-        print(json.dumps(view, indent=2, sort_keys=True))
-    else:
-        _print_status_view(view)
-    return 0 if view["state"] in ("queued", "running", "done") else 1
-
-
-def _print_status_view(view: dict) -> None:
-    rows = [
-        [
-            entry["label"],
-            entry["status"],
-            entry["retries"],
-            (entry["result"] or {}).get("total_cycles"),
-            entry["error"] or "",
-        ]
-        for entry in view["specs"]
-    ]
-    print(render_table(
-        ["spec", "status", "retries", "cycles", "error"],
-        rows,
-        title=f"batch {view['job']}: {view['state']}",
-    ))
-    stats = view.get("stats")
-    if stats:
-        print(
-            f"batch stats: {stats['simulated']} simulated, "
-            f"{stats['memo_hits']} memo hits, {stats['cache_hits']} "
-            f"cache hits, {stats['failed']} failed, "
-            f"{stats['timed_out']} timed out",
-            file=sys.stderr,
-        )
-
-
-def _cmd_status(args: argparse.Namespace) -> int:
-    from .service.client import ServiceClient
-
-    client = ServiceClient(args.url)
-    if args.job is None:
-        batches = client.list_batches()["batches"]
-        if args.json:
-            print(json.dumps(batches, indent=2, sort_keys=True))
-        else:
-            rows = [
-                [b["job"], b["state"], b["tenant"], b["priority"], b["specs"]]
-                for b in batches
-            ]
-            print(render_table(
-                ["batch", "state", "tenant", "priority", "specs"],
-                rows, title=f"{len(batches)} batch(es)",
-            ))
-        return 0
-    if args.events:
-        for event in client.events(args.job, follow=args.follow):
-            print(json.dumps(event, sort_keys=True))
-        return 0
-    view = client.status(args.job)
-    if args.json:
-        print(json.dumps(view, indent=2, sort_keys=True))
-    else:
-        _print_status_view(view)
-    return 0
-
-
 def _cmd_cache(args: argparse.Namespace) -> int:
     _select_cache(args.cache_dir)
     active = cache_mod.get_active_cache()
@@ -1024,12 +828,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_shootout(args)
     if args.command == "components":
         return _cmd_components(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "submit":
-        return _cmd_submit(args)
-    if args.command == "status":
-        return _cmd_status(args)
     if args.command == "cache":
         return _cmd_cache(args)
     raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover

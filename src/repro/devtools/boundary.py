@@ -80,7 +80,7 @@ HARNESS_PACKAGES: FrozenSet[str] = frozenset(
         "repro.harness",
         "repro.analysis",
         "repro.devtools",
-        # The long-running experiment service: HTTP front end, job queue,
+        # The in-process experiment service: job queue, job store,
         # scheduler thread.  Pure harness — it *drives* simulations through
         # submit_batch and stamps wall-clock timestamps onto its event
         # stream, but no simulation state ever flows back out of it.

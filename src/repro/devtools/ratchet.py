@@ -151,7 +151,7 @@ class MypyRatchetRule(ProjectRule):
 
     def _violations(self, pyproject: Path) -> List[Tuple[int, str]]:
         out: List[Tuple[int, str]] = []
-        text = pyproject.read_text().splitlines()
+        text = pyproject.read_text(encoding="utf-8").splitlines()
 
         def line_of(module: str) -> int:
             quoted = f'"{module}"'

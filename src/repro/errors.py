@@ -54,22 +54,16 @@ class PoolError(HarnessError):
 
 
 class ServiceError(HarnessError):
-    """The experiment service (queue, scheduler, HTTP layer) failed.
+    """The experiment service (queue, scheduler, job store) failed.
 
     Like every :class:`HarnessError`, a service error says nothing about
     any simulation: the specs behind a rejected or lost job are simply not
-    run (yet), never misreported as failed simulations.  Subclasses carry
-    the HTTP status the server maps them to.
+    run (yet), never misreported as failed simulations.
     """
-
-    #: HTTP status code the service layer renders this error as.
-    http_status = 500
 
 
 class UnknownJob(ServiceError):
     """A batch/job id that the service has no record of."""
-
-    http_status = 404
 
     def __init__(self, job_id: str):
         super().__init__(f"unknown batch {job_id!r}")
@@ -81,8 +75,6 @@ class UnknownJob(ServiceError):
 
 class InvalidJobRequest(ServiceError):
     """A submission payload that cannot be turned into a job."""
-
-    http_status = 400
 
 
 class WorkerTimeout(HarnessError):

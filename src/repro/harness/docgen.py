@@ -20,7 +20,7 @@ from ..analysis.metrics import mean
 from ..errors import WorkerFailure
 from . import figures, shootout, tables
 from .faults import FaultTolerance, render_failure_summary
-from .store import save_artifact
+from .store import atomic_write_text, save_artifact
 
 __all__ = ["generate", "main"]
 
@@ -268,8 +268,7 @@ def generate(
         + "\n".join(f"| {n} | {h} |" for n, h in summary_rows)
         + "\n\n"
     )
-    output = Path(output)
-    output.write_text(header + "\n".join(sections))
+    output = atomic_write_text(output, header + "\n".join(sections))
     log(f"wrote {output}")
     return output
 

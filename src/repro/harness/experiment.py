@@ -158,8 +158,8 @@ def spec_label(spec: RunSpec) -> str:
     """Public alias of :func:`_spec_label`: the deterministic label under
     which a spec's trace events, fault-tolerance outcomes
     (:class:`~repro.harness.faults.SpecOutcome`) and fault-plan matches are
-    recorded.  The experiment service joins API responses to outcomes
-    through this label."""
+    recorded.  perfbench keys its per-spec results and access counts by
+    it."""
     return _spec_label(spec)
 
 
@@ -248,8 +248,8 @@ def collapse_results(
 ) -> Dict[Tuple, Optional[SimulationResult]]:
     """Collapse position-aligned ``(spec, result)`` pairs to ``{key: result}``.
 
-    A batch may legitimately contain the same spec more than once (service
-    clients concatenate overlapping sweeps; figures share baselines).  The
+    A batch may legitimately contain the same spec more than once (figures
+    share baselines; a caller may concatenate overlapping sweeps).  The
     old ``{spec.key(): r for ...}`` comprehension let *zip order* decide
     which occurrence's value survived for a shared key — so under
     ``keep_going`` a key whose occurrences resolved to both a result and a

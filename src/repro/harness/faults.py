@@ -237,9 +237,8 @@ class FaultTolerance:
       only; an in-process simulation cannot be safely interrupted).
     * ``max_backoff_s`` — hard cap on any single pool-rebuild sleep.  The
       exponential schedule ``backoff_s * 2**(attempt-1)`` used to grow
-      without bound, so a generous ``retries`` budget could stall a
-      long-running service's worker loop for minutes; every delay is now
-      clamped (see :meth:`backoff_delay`).
+      without bound, so a generous ``retries`` budget could stall a batch
+      for minutes; every delay is now clamped (see :meth:`backoff_delay`).
 
     The object accumulates outcomes across every batch it is passed to;
     ``repro regen`` shares one instance across all its artifacts and renders

@@ -430,7 +430,7 @@ class ParallelRunner:
             # Harness-side wall clock: backoff before rebuilding the pool
             # (never reachable from simulation state).  The delay is
             # clamped by FaultTolerance.max_backoff_s so a deep retry
-            # budget cannot stall a service worker loop for minutes.
+            # budget cannot stall the batch for minutes.
             time.sleep(ft.backoff_delay(attempt))
         return []
 

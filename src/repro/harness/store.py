@@ -5,13 +5,13 @@ round-trips them through JSON so expensive regenerations can be archived
 (``benchmarks`` writes them via ``--benchmark-json``; ``docgen`` uses this
 store for EXPERIMENTS.md provenance).
 
-:func:`atomic_write_text` is the one sanctioned way to write small text
-files that another process (or a restarted one) will read back: temp file
-in the destination directory + ``os.replace``, always ``utf-8``.  It is
-shared by :func:`save_artifact` and the experiment service's job snapshots
-(:mod:`repro.service.jobs`) — a crash mid-write must leave either the old
-file or the new one, never a truncated hybrid, and the bytes on disk must
-not depend on the host's locale.
+:func:`atomic_write_text` is the one sanctioned way to write text files
+that a later run reads back or commits: temp file in the destination
+directory + ``os.replace``, always ``utf-8``.  :func:`save_artifact` and
+:func:`repro.harness.docgen.generate` (EXPERIMENTS.md) write through it —
+a crash mid-write must leave either the old file or the new one, never a
+truncated hybrid, and the bytes on disk must not depend on the host's
+locale (EXPERIMENTS.md holds non-ASCII text, starting with its title).
 """
 
 from __future__ import annotations

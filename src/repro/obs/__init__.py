@@ -8,7 +8,7 @@ sweep loop (:mod:`repro.analysis.adaptive`) counts ``sweep/rounds``,
 ``sweep/simulated_points`` when handed an enabled instance, and the
 experiment service (:mod:`repro.service`) counts ``service/...`` job
 traffic.  :mod:`repro.obs.bus` provides the :class:`EventBus` the service
-streams job/progress/fault events through.
+publishes job/progress/fault events to.
 """
 
 from .bus import BusEvent, EventBus

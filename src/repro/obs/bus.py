@@ -1,8 +1,8 @@
 """In-process event bus: ordered fan-out of harness telemetry.
 
 The experiment service (:mod:`repro.service`) publishes job-lifecycle,
-progress and worker-fault events here and its HTTP layer streams them out
-as newline-delimited JSON.  The bus itself is deliberately dumb and
+progress and worker-fault events here; each serialises to one line of
+newline-delimited JSON.  The bus itself is deliberately dumb and
 deterministic: an append-only journal of :class:`BusEvent` records with
 monotonically increasing sequence numbers, plus a condition variable so
 readers can block for the next batch.  It assigns **no timestamps** — the

@@ -5,8 +5,7 @@
 :class:`~repro.service.jobs.JobQueue`, one per-job
 :class:`~repro.obs.bus.EventBus` and the
 :class:`~repro.service.scheduler.Scheduler` thread — behind a small
-in-process API that the HTTP layer (:mod:`repro.service.server`) and the
-tests drive directly.  Nothing here knows about sockets.
+in-process API.
 
 Restart semantics: :meth:`resume` reloads every job snapshot.  Jobs that
 were ``queued`` or ``running`` when the previous process died go back on
@@ -14,8 +13,8 @@ the queue (the ``running -> queued`` recovery transition); because results
 live in the persistent cache, replaying a half-finished batch re-simulates
 only the specs that never completed.  Terminal jobs stay terminal and
 their event streams are *replayed* from the snapshot on demand, marked
-``resumed: true``, so a client that reconnects after a service restart
-still gets a complete, schema-valid stream.
+``resumed: true``, so a job's stream read after a service restart is
+still complete and schema-valid.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ class ServiceConfig:
 
 
 class ExperimentService:
-    """Everything behind the HTTP API, usable in-process."""
+    """Submit, track, cancel and replay batches in-process."""
 
     def __init__(
         self,
@@ -224,7 +223,7 @@ class ExperimentService:
         return self.status(job.job_id)
 
     def status(self, job_id: str) -> JSONDict:
-        """The job's full status view (``GET /batches/<id>``)."""
+        """The job's full status view."""
         job = self.store.get(job_id)
         per_spec: List[JSONDict] = []
         for i, spec in enumerate(job.specs):
@@ -260,22 +259,8 @@ class ExperimentService:
             "specs": per_spec,
         }
 
-    def list_jobs(self) -> List[JSONDict]:
-        """Summaries of every known job (``GET /batches``)."""
-        return [
-            {
-                "job": job.job_id,
-                "state": job.state,
-                "tenant": job.tenant,
-                "priority": job.priority,
-                "specs": len(job.specs),
-                "created_ts": job.created_ts,
-            }
-            for job in self.store.all_jobs()
-        ]
-
     def cancel(self, job_id: str) -> JSONDict:
-        """Cancel a *queued* job (``DELETE /batches/<id>``)."""
+        """Cancel a *queued* job."""
         job = self.store.get(job_id)
         if job.terminal:
             return self.status(job_id)

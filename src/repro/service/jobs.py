@@ -1,6 +1,6 @@
 """Job lifecycle for the experiment service: state machine, queue, store.
 
-A *job* is one submitted batch (``POST /batches``): a list of run specs,
+A *job* is one submitted batch: a list of run specs,
 optional config overrides, a tenant and a priority.  Its life is the
 state machine::
 
@@ -63,7 +63,7 @@ _SNAPSHOT_VERSION = 1
 
 @dataclass
 class Job:
-    """One submitted batch and everything the API reports about it."""
+    """One submitted batch and everything its status view reports."""
 
     job_id: str
     specs: List[RunSpec]
@@ -262,18 +262,6 @@ class JobStore:
                 return self._jobs[job_id]
             except KeyError:
                 raise UnknownJob(job_id) from None
-
-    def all_jobs(self) -> List[Job]:
-        with self._lock:
-            return sorted(self._jobs.values(), key=lambda j: j.enqueue_seq)
-
-    def counts(self) -> Dict[str, int]:
-        """Jobs per state."""
-        with self._lock:
-            counts = {state: 0 for state in JOB_STATES}
-            for job in self._jobs.values():
-                counts[job.state] += 1
-            return counts
 
     def load_all(self) -> List[Job]:
         """Load every snapshot from disk; returns jobs needing re-queue.

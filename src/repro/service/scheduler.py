@@ -8,7 +8,7 @@ harness stack for free: the process pool (``jobs > 1``), fault tolerance
 (``keep_going`` + pool retries + worker timeouts + the ``REPRO_FAULT_PLAN``
 injection hook) and both result-cache layers.  Re-submitting a batch the
 cache already holds therefore comes back with ``BatchStats.simulated == 0``
-— the warm path the API exposes verbatim.
+— the warm path a job's status view reports verbatim.
 
 Progress and outcomes are published to the job's
 :class:`~repro.obs.bus.EventBus`; the bus assigns sequence numbers but no
@@ -93,10 +93,6 @@ class Scheduler:
         if self._thread is not None:
             self._thread.join(timeout)
             self._thread = None
-
-    @property
-    def running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
 
     # --- drain loop -------------------------------------------------------
 

@@ -1,19 +1,20 @@
 """JSON wire format for the experiment service.
 
-Everything that crosses the HTTP boundary goes through this module:
+Everything a submission, a status view or a job snapshot holds goes
+through this module:
 
 * submissions — ``spec_from_dict`` parses one :class:`RunSpec` (validating
-  app / setup / rate eagerly, so a bad spec is a 400 at submission, not a
-  worker crash minutes later) and ``config_from_overrides`` folds a nested
+  app / setup / rate eagerly, so a bad spec is rejected at submission, not
+  a worker crash minutes later) and ``config_from_overrides`` folds a nested
   override mapping into a :class:`~repro.config.SimConfig`;
 * responses — ``spec_to_dict`` / ``result_to_dict`` render specs and
   :class:`~repro.engine.simulator.SimulationResult` objects back to JSON;
-* the event stream — ``GET /batches/<id>/events`` emits newline-delimited
-  JSON whose shape is pinned by the checked-in ``events.schema.json``
+* the event stream — a job's events serialise to newline-delimited JSON
+  whose shape is pinned by the checked-in ``events.schema.json``
   (a JSON-Schema subset: ``type`` / ``required`` / ``properties`` /
   ``enum`` / ``additionalProperties``, plus a per-kind ``kinds`` table).
-  :func:`validate_event` is the stdlib validator for it, used by the tests
-  and the CI ``service`` job — no third-party schema library required.
+  :func:`validate_event` is the stdlib validator for it, used by the
+  tests — no third-party schema library required.
 """
 
 from __future__ import annotations
@@ -181,7 +182,7 @@ def _apply_overrides(obj: Any, overrides: Mapping[str, Any], path: str) -> Any:
 
 
 def result_to_dict(result: SimulationResult) -> JSONDict:
-    """JSON summary of one simulation result (the API's ``result`` block)."""
+    """JSON summary of one simulation result (a status view's ``result``)."""
     return {
         "label": result.label(),
         "workload": result.workload,

@@ -1,10 +1,15 @@
-"""Shared helpers for policy/prefetcher unit tests and for the
-differential runs against the reference monolith."""
+"""Shared helpers for policy/prefetcher unit tests, for the
+differential runs against the reference monolith, and for running the
+package in a fresh interpreter under the C locale."""
 
 from __future__ import annotations
 
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 from typing import List
 
 import repro.engine.simulator as simulator_module
@@ -133,3 +138,32 @@ def simulate(workload, setup, rate, monkeypatch, legacy, obs=None,
 
 def result_bytes(result) -> bytes:
     return pickle.dumps(result, protocol=_PICKLE_PROTOCOL)
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def run_in_c_locale(argv: List[str], **env: str) -> subprocess.CompletedProcess:
+    """Run ``python *argv`` from the repository root with the package on
+    ``PYTHONPATH``, under a locale whose preferred encoding is ASCII: UTF-8
+    mode and C-locale coercion are off, so any text read or write without
+    an explicit encoding fails on non-ASCII bytes.  ``env`` adds variables."""
+    environ = dict(os.environ)
+    environ.update(
+        PYTHONUTF8="0",
+        PYTHONCOERCECLOCALE="0",
+        LC_ALL="C",
+        PYTHONPATH=os.pathsep.join(
+            p for p in (str(REPO / "src"), environ.get("PYTHONPATH")) if p
+        ),
+        **env,
+    )
+    return subprocess.run(
+        [sys.executable, *argv],
+        cwd=REPO,
+        env=environ,
+        capture_output=True,
+        encoding="utf-8",
+        errors="replace",
+        timeout=300,
+    )

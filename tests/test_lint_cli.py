@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import run_in_c_locale
 from repro.cli import build_parser, main
 from repro.devtools.findings import JSON_SCHEMA_VERSION
 
@@ -69,6 +70,15 @@ class TestExitCodes:
         # The acceptance gate for --deep: the shipped tree has no taint or
         # reachability findings (pre-existing ones were fixed or allowlisted).
         assert main(["lint", "--deep", str(REPO / "src")]) == 0
+
+
+class TestLocale:
+    def test_repo_src_is_clean_under_c_locale(self):
+        # pyproject.toml (read by REPRO401) holds non-ASCII text, so the
+        # lint must not decode it with the locale's encoding.
+        proc = run_in_c_locale(["-m", "repro", "lint", "src"])
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestJsonOutput:

@@ -1,9 +1,6 @@
-"""The always-on experiment service (repro.service) end to end.
+"""The in-process experiment service (repro.service) end to end:
 
-Covers the tentpole acceptance criteria of the service PR:
-
-* live submit -> poll -> stream against an in-process service and a real
-  localhost HTTP server;
+* live submit -> poll -> stream against an in-process service;
 * warm resubmission of an already-cached batch reports
   ``BatchStats.simulated == 0`` through the API;
 * a ``REPRO_FAULT_PLAN`` drill surfaces per-spec failure (and the job's
@@ -19,7 +16,6 @@ from __future__ import annotations
 import json
 import threading
 import time
-import urllib.request
 
 import pytest
 
@@ -31,9 +27,7 @@ from repro.service import (
     Job,
     JobQueue,
     JobStore,
-    ServiceClient,
     ServiceConfig,
-    make_server,
 )
 from repro.service.wire import (
     config_from_overrides,
@@ -568,152 +562,3 @@ class TestRestartResume:
         schema = load_event_schema()
         assert [err for e in events for err in validate_event(e, schema)] == []
         svc2.stop()
-
-
-# --------------------------------------------------------------------------
-# HTTP layer (real localhost server)
-# --------------------------------------------------------------------------
-
-
-@pytest.fixture
-def http_service(tmp_path):
-    svc = ExperimentService(ServiceConfig(state_dir=tmp_path / "state"))
-    svc.start()
-    server = make_server(svc)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    client = ServiceClient(f"http://{host}:{port}")
-    yield svc, client
-    server.shutdown()
-    server.server_close()
-    svc.stop()
-
-
-class TestHTTP:
-    def test_healthz(self, http_service):
-        _, client = http_service
-        health = client.health()
-        assert health["ok"] is True and health["scheduler"] is True
-
-    def test_submit_poll_stream_over_http(self, http_service):
-        _, client = http_service
-        view = client.submit({"specs": [SPEC]})
-        assert view["state"] in ("queued", "running")
-        final = client.wait(view["job"], timeout_s=60)
-        assert final["state"] == "done"
-        assert final["stats"]["simulated"] in (0, 1)
-
-        # raw NDJSON body validates line by line against the schema
-        raw = urllib.request.urlopen(
-            f"{client.base_url}/batches/{view['job']}/events", timeout=30
-        ).read().decode("utf-8")
-        lines = raw.splitlines()
-        assert validate_event_lines(lines) == []
-        kinds = [json.loads(line)["kind"] for line in lines if line.strip()]
-        assert kinds[0] == "queued" and kinds[-1] == "done"
-
-    def test_follow_streams_until_close(self, http_service):
-        _, client = http_service
-        view = client.submit({"specs": [SPEC]})
-        kinds = [e["kind"] for e in client.events(view["job"], follow=True)]
-        assert kinds[-1] in ("done", "failed")
-
-    def test_after_resumes_mid_stream(self, http_service):
-        _, client = http_service
-        view = client.submit({"specs": [SPEC]})
-        client.wait(view["job"], timeout_s=60)
-        all_events = list(client.events(view["job"]))
-        tail = list(client.events(view["job"], after=all_events[1]["seq"]))
-        assert [e["seq"] for e in tail] == [e["seq"] for e in all_events[2:]]
-
-    def test_unknown_batch_is_404(self, http_service):
-        _, client = http_service
-        with pytest.raises(ServiceError) as err:
-            client.status("b-nope")
-        assert "404" in str(err.value)
-        with pytest.raises(ServiceError) as err:
-            list(client.events("b-nope"))
-        assert "404" in str(err.value)
-
-    def test_bad_payload_is_400(self, http_service):
-        _, client = http_service
-        with pytest.raises(ServiceError) as err:
-            client.submit({"specs": [{**SPEC, "app": "NOPE"}]})
-        assert "400" in str(err.value)
-
-    def test_instances_other_than_one_is_400(self, http_service):
-        _, client = http_service
-        with pytest.raises(ServiceError) as err:
-            client.submit({"specs": [{**SPEC, "instances": 2}]})
-        assert "400" in str(err.value)
-        assert "instances" in str(err.value)
-
-    def test_list_batches(self, http_service):
-        _, client = http_service
-        view = client.submit({"specs": [SPEC]})
-        client.wait(view["job"], timeout_s=60)
-        batches = client.list_batches()["batches"]
-        assert any(b["job"] == view["job"] and b["state"] == "done"
-                   for b in batches)
-
-    def test_cancel_running_conflicts(self, http_service):
-        svc, client = http_service
-        view = client.submit({"specs": [SPEC]})
-        client.wait(view["job"], timeout_s=60)
-        # terminal cancel is a no-op echo of the terminal state
-        assert client.cancel(view["job"])["state"] == "done"
-
-    def test_unknown_route_404(self, http_service):
-        _, client = http_service
-        with pytest.raises(ServiceError):
-            client._request("GET", "/no/such/route")
-
-
-# --------------------------------------------------------------------------
-# CLI clients against a live server
-# --------------------------------------------------------------------------
-
-
-class TestCLIClients:
-    def test_submit_and_status_commands(self, http_service, capsys):
-        from repro.cli import main
-
-        _, client = http_service
-        rc = main([
-            "submit", "STN", "--setup", "baseline", "--rate", "0.5",
-            "--scale", "0.25", "--url", client.base_url, "--json",
-        ])
-        out = capsys.readouterr()
-        assert rc == 0
-        view = json.loads(out.out)
-        assert view["state"] == "done"
-        job_id = view["job"]
-
-        assert main(["status", "--url", client.base_url]) == 0
-        out = capsys.readouterr()
-        assert job_id in out.out
-
-        assert main(["status", job_id, "--url", client.base_url,
-                     "--events"]) == 0
-        out = capsys.readouterr()
-        lines = [line for line in out.out.splitlines() if line.strip()]
-        assert validate_event_lines(lines) == []
-
-    def test_submit_spec_file(self, http_service, tmp_path, capsys):
-        from repro.cli import main
-
-        _, client = http_service
-        payload = {"specs": [SPEC], "tenant": "filed"}
-        path = tmp_path / "payload.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        rc = main(["submit", "--spec-file", str(path),
-                   "--url", client.base_url, "--json"])
-        out = capsys.readouterr()
-        assert rc == 0
-        assert json.loads(out.out)["tenant"] == "filed"
-
-    def test_submit_without_specs_is_usage_error(self, capsys):
-        from repro.cli import main
-
-        assert main(["submit", "--url", "http://127.0.0.1:1"]) == 2

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from helpers import run_in_c_locale
 from repro.errors import ReproError
 from repro.harness.figures import FigureResult
 from repro.harness.store import atomic_write_text, load_artifact, save_artifact
@@ -135,7 +136,27 @@ class TestDocgen:
             names=["fig3"],
             log=lambda s: None,
         )
-        text = out.read_text()
+        text = out.read_text(encoding="utf-8")
         assert "## fig3" in text
         assert "**Paper:**" in text and "**Measured:**" in text
         assert (tmp_path / "json" / "fig3.json").exists()
+
+    def test_generate_under_c_locale(self, tmp_path):
+        # The document's title holds an em-dash: the write must be utf-8
+        # whatever the locale, and atomic (no temp file left behind).
+        out = tmp_path / "EXP.md"
+        script = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "from repro.harness.docgen import generate\n"
+            "generate(Path(sys.argv[1]), scale=0.5, names=['fig3'],\n"
+            "         log=lambda s: None)\n"
+        )
+        proc = run_in_c_locale(
+            ["-c", script, str(out)], REPRO_CACHE_DIR=str(tmp_path / "cache")
+        )
+        assert proc.returncode == 0, proc.stderr
+        text = out.read_text(encoding="utf-8")
+        assert text.startswith("# EXPERIMENTS \u2014 paper-reported vs measured")
+        assert "## fig3" in text
+        assert list(tmp_path.glob("*.tmp")) == []
