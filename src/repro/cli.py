@@ -47,21 +47,23 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
 from typing import List, Optional
 
 from . import registry as registry_mod
-from .errors import ConfigError
+from .errors import ConfigError, WorkloadError
 from .harness import cache as cache_mod
 from .harness import figures as figures_mod
 from .harness import shootout as shootout_mod
 from .harness import tables as tables_mod
 from .harness import baselines as _baselines  # noqa: F401  (registers components)
 from .harness.experiment import RunSpec, run_one
+from .harness.faults import tolerance_from_flags
 from .harness.report import render_table
-from .workloads.suite import BENCHMARKS
+from .workloads.suite import BENCHMARKS, get_benchmark
 
 __all__ = ["main", "build_parser"]
 
@@ -607,22 +609,17 @@ def _select_cache(cache_dir: Optional[str], no_cache: bool = False) -> None:
 
 def _cmd_regen(args: argparse.Namespace) -> int:
     from .errors import WorkerFailure
-    from .harness.faults import FaultTolerance, render_failure_summary
+    from .harness.faults import render_failure_summary
     from .harness.parallel import stderr_progress
 
     _select_cache(args.cache_dir, args.no_cache)
     regenerators = {**_FIGURES, **_TABLES}
     names = sorted(regenerators) if "all" in args.artifacts else args.artifacts
     active = cache_mod.get_active_cache()
-    # One shared policy object: outcomes accumulate across every artifact,
-    # so the batch-end summary covers the whole invocation.
-    fault_tolerance = None
-    if args.keep_going or args.retries != 2 or args.timeout_s is not None:
-        fault_tolerance = FaultTolerance(
-            keep_going=args.keep_going,
-            retries=args.retries,
-            timeout_s=args.timeout_s,
-        )
+    # One shared policy object (built by _check_args): outcomes accumulate
+    # across every artifact, so the batch-end summary covers the whole
+    # invocation.
+    fault_tolerance = args.fault_tolerance
     for name in names:
         before_hits, before_stores = (
             (active.hits, active.stores) if active else (0, 0)
@@ -701,10 +698,6 @@ def _cmd_shootout(args: argparse.Namespace) -> int:
     from .harness.faults import FaultTolerance
     from .harness.parallel import stderr_progress
 
-    if not 0.0 < args.rate <= 1.0:
-        print(f"repro shootout: --rate must be in (0, 1], got {args.rate}",
-              file=sys.stderr)
-        return 2
     _select_cache(args.cache_dir, args.no_cache)
     scale = min(args.scale, 0.25) if args.quick else args.scale
     fault_tolerance = (FaultTolerance(keep_going=True)
@@ -804,8 +797,57 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
+def _benchmark_key(flag: str, app: str) -> str:
+    """``app``'s ``BENCHMARKS`` key.  The lookup is case-insensitive, but
+    the app enters the cache key as given, so ``stn`` must become ``STN``
+    before it reaches a :class:`RunSpec`."""
+    try:
+        return get_benchmark(app).abbr
+    except WorkloadError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
+
+
+def _check_args(args: argparse.Namespace) -> None:
+    """Validate the parsed options every command shares, before any of them
+    runs; raises :class:`ConfigError` naming the option.
+
+    Bad input must be a usage error (exit 2), not a traceback, a silent
+    re-simulation or a failed batch: ``regen`` reserves exit 1 for specs
+    that failed.  App names are rewritten to their ``BENCHMARKS`` keys, and
+    ``regen``'s fault-tolerance flags become ``args.fault_tolerance``.
+    """
+    if getattr(args, "app", None) is not None:
+        args.app = _benchmark_key("app", args.app)
+    if getattr(args, "apps", None):
+        args.apps = [_benchmark_key("--apps", app) for app in args.apps]
+    for flag in ("rate", "rates", "seed_rates"):
+        value = getattr(args, flag, None)
+        for rate in value if isinstance(value, list) else [value]:
+            if rate is not None and not (math.isfinite(rate)
+                                         and 0.0 < rate <= 1.0):
+                raise ConfigError(
+                    f"--{flag.replace('_', '-')} must be a finite number in "
+                    f"(0, 1], got {rate}"
+                )
+    scale = getattr(args, "scale", None)
+    if scale is not None and not (math.isfinite(scale) and scale > 0):
+        raise ConfigError(f"--scale must be a finite number > 0, got {scale}")
+    jobs = getattr(args, "jobs", None)
+    if jobs is not None and jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
+    if hasattr(args, "retries"):
+        args.fault_tolerance = tolerance_from_flags(
+            args.keep_going, args.retries, args.timeout_s
+        )
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        _check_args(args)
+    except ConfigError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
     if args.command == "list":
         return _cmd_list()
     if args.command == "run":

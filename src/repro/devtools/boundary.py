@@ -80,10 +80,9 @@ HARNESS_PACKAGES: FrozenSet[str] = frozenset(
         "repro.harness",
         "repro.analysis",
         "repro.devtools",
-        # The in-process experiment service: job queue, job store,
-        # scheduler thread.  Pure harness — it *drives* simulations through
-        # submit_batch and stamps wall-clock timestamps onto its event
-        # stream, but no simulation state ever flows back out of it.
+        # What remains of the experiment service: the job state machine,
+        # queue and store, and the JSON wire format.  Pure harness — it
+        # parses and persists specs but runs no simulation.
         "repro.service",
     }
 )

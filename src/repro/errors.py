@@ -54,7 +54,7 @@ class PoolError(HarnessError):
 
 
 class ServiceError(HarnessError):
-    """The experiment service (queue, scheduler, job store) failed.
+    """The experiment service's job model (queue, store, wire format) failed.
 
     Like every :class:`HarnessError`, a service error says nothing about
     any simulation: the specs behind a rejected or lost job are simply not

@@ -17,9 +17,9 @@ from pathlib import Path
 from typing import Callable, List, Optional
 
 from ..analysis.metrics import mean
-from ..errors import WorkerFailure
+from ..errors import ConfigError, WorkerFailure
 from . import figures, shootout, tables
-from .faults import FaultTolerance, render_failure_summary
+from .faults import FaultTolerance, render_failure_summary, tolerance_from_flags
 from .store import atomic_write_text, save_artifact
 
 __all__ = ["generate", "main"]
@@ -291,13 +291,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="reap workers after this many seconds without "
                              "any worker completing")
     args = parser.parse_args(argv)
-    fault_tolerance = None
-    if args.keep_going or args.retries != 2 or args.timeout_s is not None:
-        fault_tolerance = FaultTolerance(
-            keep_going=args.keep_going,
-            retries=args.retries,
-            timeout_s=args.timeout_s,
+    try:
+        fault_tolerance = tolerance_from_flags(
+            args.keep_going, args.retries, args.timeout_s
         )
+    except ConfigError as exc:
+        print(f"repro.harness.docgen: {exc}", file=sys.stderr)
+        return 2
     generate(Path(args.output), scale=args.scale, json_dir=args.json_dir,
              names=args.only, jobs=args.jobs, fault_tolerance=fault_tolerance)
     if fault_tolerance is not None and fault_tolerance.failures():

@@ -9,6 +9,8 @@ import either back):
   to wait for worker progress.  It also accumulates :class:`SpecOutcome`
   records across every batch it is threaded through, so one object passed
   down ``repro regen`` collects the whole run's failure summary.
+  :func:`tolerance_from_flags` builds it from the command-line flags
+  ``repro regen`` and ``repro.harness.docgen`` share.
 * :class:`SpecOutcome` — one per distinct spec: ``ok`` / ``retried`` /
   ``failed`` / ``timed_out``, plus the failure envelope when there is one.
 * :class:`FaultPlan` — a deterministic fault-injection hook, parsed from
@@ -50,13 +52,23 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..errors import HarnessError, SimulationError, WorkerFailure, WorkerTimeout
+from ..errors import (
+    ConfigError,
+    HarnessError,
+    SimulationError,
+    WorkerFailure,
+    WorkerTimeout,
+)
 
 __all__ = [
     "ENV_FAULT_PLAN",
     "FaultRule",
     "FaultPlan",
     "FaultTolerance",
+    "BACKOFF_S",
+    "MAX_BACKOFF_S",
+    "backoff_delay",
+    "tolerance_from_flags",
     "SpecOutcome",
     "OUTCOME_STATUSES",
     "active_fault_plan",
@@ -228,17 +240,13 @@ class FaultTolerance:
     * ``keep_going`` — record a failed spec's outcome and continue the
       batch (its result becomes ``None``); default is to fail fast by
       raising :class:`~repro.errors.WorkerFailure`.
-    * ``retries`` — how many times a *broken pool* is rebuilt (with
-      exponential backoff from ``backoff_s``) before degrading to serial
-      execution.  Simulation-level failures are never retried: they are
+    * ``retries`` — how many times a *broken pool* is rebuilt (after a
+      :func:`backoff_delay` sleep) before degrading to serial execution.
+      Simulation-level failures are never retried: they are
       deterministic.
     * ``timeout_s`` — if no worker completes for this long, in-flight
       workers are reaped and their specs marked ``timed_out`` (pool path
       only; an in-process simulation cannot be safely interrupted).
-    * ``max_backoff_s`` — hard cap on any single pool-rebuild sleep.  The
-      exponential schedule ``backoff_s * 2**(attempt-1)`` used to grow
-      without bound, so a generous ``retries`` budget could stall a batch
-      for minutes; every delay is now clamped (see :meth:`backoff_delay`).
 
     The object accumulates outcomes across every batch it is passed to;
     ``repro regen`` shares one instance across all its artifacts and renders
@@ -248,17 +256,7 @@ class FaultTolerance:
     keep_going: bool = False
     retries: int = 2
     timeout_s: Optional[float] = None
-    backoff_s: float = 0.05
-    max_backoff_s: float = 2.0
     outcomes: List[SpecOutcome] = field(default_factory=list)
-
-    def backoff_delay(self, attempt: int) -> float:
-        """Sleep before pool-rebuild ``attempt`` (1-based): exponential from
-        ``backoff_s``, clamped to ``max_backoff_s`` (and never negative)."""
-        if attempt < 1:
-            return 0.0
-        return max(0.0, min(self.backoff_s * 2 ** (attempt - 1),
-                            self.max_backoff_s))
 
     def record(self, outcome: SpecOutcome) -> SpecOutcome:
         self.outcomes.append(outcome)
@@ -271,6 +269,44 @@ class FaultTolerance:
             for o in summarize_outcomes(self.outcomes).values()
             if o.status in ("failed", "timed_out")
         ]
+
+
+#: First pool-rebuild sleep (seconds); each further attempt doubles it.
+BACKOFF_S = 0.05
+
+#: Hard cap on any single pool-rebuild sleep.  The doubling schedule used
+#: to grow without bound, so a generous ``retries`` budget could stall a
+#: batch for minutes.
+MAX_BACKOFF_S = 2.0
+
+
+def backoff_delay(attempt: int) -> float:
+    """Sleep before pool-rebuild ``attempt`` (1-based): exponential from
+    :data:`BACKOFF_S`, clamped to :data:`MAX_BACKOFF_S` (and never
+    negative)."""
+    if attempt < 1:
+        return 0.0
+    return max(0.0, min(BACKOFF_S * 2 ** (attempt - 1), MAX_BACKOFF_S))
+
+
+def tolerance_from_flags(
+    keep_going: bool, retries: int, timeout_s: Optional[float]
+) -> Optional[FaultTolerance]:
+    """The batch policy for ``--keep-going`` / ``--retries`` /
+    ``--timeout-s``, or ``None`` when every flag is at its dataclass
+    default (the runner then uses its own default policy).
+
+    Raises :class:`~repro.errors.ConfigError` naming the flag for a
+    negative ``retries`` or a ``timeout_s`` that is not positive.
+    """
+    if retries < 0:
+        raise ConfigError(f"--retries must be >= 0, got {retries}")
+    if timeout_s is not None and not timeout_s > 0:
+        raise ConfigError(f"--timeout-s must be > 0, got {timeout_s}")
+    policy = FaultTolerance(
+        keep_going=keep_going, retries=retries, timeout_s=timeout_s
+    )
+    return None if policy == FaultTolerance() else policy
 
 
 def summarize_outcomes(

@@ -56,7 +56,7 @@ from .experiment import (
     _resolve_cache,
     _spec_label,
 )
-from .faults import FaultTolerance, SpecOutcome, active_fault_plan
+from .faults import FaultTolerance, SpecOutcome, active_fault_plan, backoff_delay
 
 __all__ = ["ParallelRunner", "default_jobs", "stderr_progress"]
 
@@ -429,9 +429,9 @@ class ParallelRunner:
                 return remaining
             # Harness-side wall clock: backoff before rebuilding the pool
             # (never reachable from simulation state).  The delay is
-            # clamped by FaultTolerance.max_backoff_s so a deep retry
-            # budget cannot stall the batch for minutes.
-            time.sleep(ft.backoff_delay(attempt))
+            # clamped by faults.MAX_BACKOFF_S so a deep retry budget
+            # cannot stall the batch for minutes.
+            time.sleep(backoff_delay(attempt))
         return []
 
     def _dispatch(

@@ -5,13 +5,9 @@ Off by default and invisible to the result cache — see :mod:`repro.obs.core`.
 Harness drivers report into the same registry as simulations: the adaptive
 sweep loop (:mod:`repro.analysis.adaptive`) counts ``sweep/rounds``,
 ``sweep/proposed_points``, ``sweep/cached_points`` and
-``sweep/simulated_points`` when handed an enabled instance, and the
-experiment service (:mod:`repro.service`) counts ``service/...`` job
-traffic.  :mod:`repro.obs.bus` provides the :class:`EventBus` the service
-publishes job/progress/fault events to.
+``sweep/simulated_points`` when handed an enabled instance.
 """
 
-from .bus import BusEvent, EventBus
 from .core import DISABLED, Observability, ObsConfig, make_observability
 from .export import (
     INTERVAL_COLUMNS,
@@ -32,8 +28,6 @@ from .metrics import (
 from .tracer import EVENT_KINDS, NullTracer, TraceEvent, Tracer
 
 __all__ = [
-    "BusEvent",
-    "EventBus",
     "DISABLED",
     "Observability",
     "ObsConfig",

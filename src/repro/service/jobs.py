@@ -10,13 +10,13 @@ state machine::
 
 ``done`` / ``failed`` / ``cancelled`` are terminal.  The only legal way
 back from ``running`` is the restart path: a job found ``running`` in a
-loaded snapshot belonged to a service process that died mid-drain, so the
+loaded snapshot belonged to a process that died mid-drain, so the
 store re-queues it (results already in the persistent cache make the
 replay cheap — completed specs are not re-simulated).
 
 Persistence is one JSON snapshot per job under ``<state_dir>/jobs/``,
 written with :func:`repro.harness.store.atomic_write_text` so a crash
-mid-write can never leave a truncated snapshot for the next boot to trip
+mid-write can never leave a truncated snapshot for the next load to trip
 over.
 """
 
@@ -75,7 +75,7 @@ class Job:
     state: str = "queued"
     #: FIFO tiebreak within a priority class; assigned by the queue.
     enqueue_seq: int = 0
-    #: Wall-clock timestamps (epoch seconds), supplied by the service layer.
+    #: Wall-clock timestamps (epoch seconds), supplied by the caller.
     created_ts: float = 0.0
     started_ts: Optional[float] = None
     finished_ts: Optional[float] = None
@@ -174,15 +174,6 @@ class JobQueue:
         self._next_seq = 1
         self._closed = False
 
-    def reserve_seq(self) -> int:
-        """Pre-assign an enqueue sequence number, so a job can be persisted
-        *before* it is pushed (the scheduler must never pop a job the store
-        has not yet saved)."""
-        with self._cond:
-            seq = self._next_seq
-            self._next_seq += 1
-            return seq
-
     def push(self, job: Job) -> None:
         with self._cond:
             if self._closed:
@@ -266,7 +257,7 @@ class JobStore:
     def load_all(self) -> List[Job]:
         """Load every snapshot from disk; returns jobs needing re-queue.
 
-        Jobs found ``running`` belonged to a dead service process: they are
+        Jobs found ``running`` belonged to a dead process: they are
         moved back to ``queued`` (the restart-recovery transition) and
         re-persisted.  The returned list is every non-terminal job, in
         original enqueue order, ready to be pushed onto a fresh queue.

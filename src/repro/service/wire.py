@@ -1,18 +1,14 @@
-"""JSON wire format for the experiment service.
+"""JSON wire format for the experiment service's job snapshots.
 
-Everything a submission, a status view or a job snapshot holds goes
-through this module:
-
-* submissions — ``spec_from_dict`` parses one :class:`RunSpec` (validating
-  app / setup / rate eagerly, so a bad spec is rejected at submission, not
-  a worker crash minutes later) and ``config_from_overrides`` folds a nested
-  override mapping into a :class:`~repro.config.SimConfig`;
-* responses — ``spec_to_dict`` / ``result_to_dict`` render specs and
-  :class:`~repro.engine.simulator.SimulationResult` objects back to JSON;
-* the event stream — a job's events serialise to newline-delimited JSON
-  whose shape is pinned by the checked-in ``events.schema.json``
-  (a JSON-Schema subset: ``type`` / ``required`` / ``properties`` /
-  ``enum`` / ``additionalProperties``, plus a per-kind ``kinds`` table).
+* specs — ``spec_from_dict`` parses one :class:`RunSpec` (validating
+  app / setup / rate eagerly, so a bad spec is rejected on load, not
+  a worker crash minutes later), ``spec_to_dict`` renders one back, and
+  ``config_from_overrides`` folds a nested override mapping into a
+  :class:`~repro.config.SimConfig`;
+* the event schema — the checked-in ``events.schema.json`` pins the
+  shape of a job's newline-delimited JSON events (a JSON-Schema subset:
+  ``type`` / ``required`` / ``properties`` / ``enum`` /
+  ``additionalProperties``, plus a per-kind ``kinds`` table).
   :func:`validate_event` is the stdlib validator for it, used by the
   tests — no third-party schema library required.
 """
@@ -25,7 +21,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from ..config import SimConfig
-from ..engine.simulator import SimulationResult
 from ..errors import ConfigError, InvalidJobRequest
 from ..harness.experiment import RunSpec
 from ..registry import setup_components
@@ -34,9 +29,7 @@ from ..workloads.suite import BENCHMARKS
 __all__ = [
     "spec_from_dict",
     "spec_to_dict",
-    "specs_from_payload",
     "config_from_overrides",
-    "result_to_dict",
     "load_event_schema",
     "validate_event",
     "validate_event_lines",
@@ -134,15 +127,6 @@ def spec_to_dict(spec: RunSpec) -> JSONDict:
     }
 
 
-def specs_from_payload(raw: Any) -> List[RunSpec]:
-    """Parse the ``specs`` list of a submission payload."""
-    if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
-        raise InvalidJobRequest("'specs' must be a JSON list of spec objects")
-    if not raw:
-        raise InvalidJobRequest("'specs' must not be empty")
-    return [spec_from_dict(entry) for entry in raw]
-
-
 def config_from_overrides(
     overrides: Optional[Mapping[str, Any]],
 ) -> Optional[SimConfig]:
@@ -179,23 +163,6 @@ def _apply_overrides(obj: Any, overrides: Mapping[str, Any], path: str) -> Any:
         return dataclasses.replace(obj, **updates)
     except (TypeError, ValueError, ConfigError) as exc:
         raise InvalidJobRequest(f"invalid {path}: {exc}") from exc
-
-
-def result_to_dict(result: SimulationResult) -> JSONDict:
-    """JSON summary of one simulation result (a status view's ``result``)."""
-    return {
-        "label": result.label(),
-        "workload": result.workload,
-        "policy": result.policy,
-        "prefetcher": result.prefetcher,
-        "oversubscription": result.oversubscription,
-        "capacity_pages": result.capacity_pages,
-        "footprint_pages": result.footprint_pages,
-        "crashed": result.crashed,
-        "crash_reason": result.crash_reason,
-        "total_cycles": result.total_cycles,
-        "stats": result.stats.summary(),
-    }
 
 
 # --------------------------------------------------------------------------

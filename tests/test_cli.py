@@ -148,6 +148,65 @@ class TestRegenCommand:
         with pytest.raises(SystemExit):
             main(["regen", "fig99"])
 
+    def test_lower_case_app_replays_the_upper_case_run(self, capsys, tmp_path):
+        from repro.harness.experiment import clear_cache, execution_count
+
+        argv = ["regen", "fig3", "--scale", "0.25", "--jobs", "1",
+                "--cache-dir", str(tmp_path / "cache"), "--apps"]
+        assert main(argv + ["STN"]) == 0
+        capsys.readouterr()
+        clear_cache(disk=False)  # simulate a fresh session
+        before = execution_count()
+        assert main(argv + ["stn"]) == 0
+        assert execution_count() == before
+        captured = capsys.readouterr()
+        assert "0 new simulations" in captured.err
+        assert "STN" in captured.out and "stn" not in captured.out
+
+
+#: Bad input, each with the option its usage error must name.
+BAD_ARGVS = [
+    (["run", "XYZ"], "app"),
+    (["figure", "fig3", "--apps", "XYZ"], "--apps"),
+    (["regen", "fig3", "--apps", "XYZ", "--no-cache"], "--apps"),
+    (["sweep", "XYZ"], "app"),
+    (["shootout", "XYZ"], "app"),
+    (["trace", "XYZ"], "app"),
+    (["run", "STN", "--rate", "0"], "--rate"),
+    (["run", "STN", "--rate", "nan"], "--rate"),
+    (["run", "STN", "--rate", "1.5", "--scale", "0.25"], "--rate"),
+    (["suite", "--rate", "0"], "--rate"),
+    (["sweep", "STN", "--rates", "0"], "--rates"),
+    (["sweep", "STN", "--adaptive", "--seed-rates", "1.0", "-0.4"],
+     "--seed-rates"),
+    (["regen", "fig3", "--apps", "STN", "--scale", "0.25", "--no-cache",
+      "-j", "2", "--timeout-s", "0"], "--timeout-s"),
+    (["regen", "fig3", "--apps", "STN", "--scale", "0.25", "--no-cache",
+      "-j", "2", "--timeout-s", "-5"], "--timeout-s"),
+    (["regen", "fig3", "--apps", "STN", "--scale", "0.25", "--no-cache",
+      "--retries", "-1"], "--retries"),
+    (["regen", "fig3", "--apps", "STN", "--scale", "0.25", "--no-cache",
+      "--jobs", "0"], "--jobs"),
+    (["shootout", "STN", "--scale", "0.25", "--no-cache", "--jobs", "0"],
+     "--jobs"),
+    (["run", "STN", "--scale", "0"], "--scale"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,option", BAD_ARGVS, ids=[" ".join(a) for a, _ in BAD_ARGVS]
+)
+def test_bad_input_is_a_usage_error(argv, option, capsys):
+    from repro.harness.experiment import execution_count
+
+    before = execution_count()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("\n") and err.count("\n") == 1, err
+    assert err.startswith(f"repro {argv[0]}: ") and option in err
+    assert "Traceback" not in err
+    assert execution_count() == before
+
 
 class TestCacheCommand:
     def _populate(self, tmp_path):

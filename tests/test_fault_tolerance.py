@@ -26,6 +26,7 @@ from repro.errors import (
     classify_failure,
 )
 from repro.harness import cache as cache_mod
+from repro.harness import faults as faults_mod
 from repro.harness.cache import serialize_result
 from repro.harness.experiment import (
     RunSpec,
@@ -39,6 +40,7 @@ from repro.harness.faults import (
     FaultRule,
     FaultTolerance,
     SpecOutcome,
+    backoff_delay,
     render_failure_summary,
     summarize_outcomes,
 )
@@ -301,8 +303,9 @@ class TestCrashedWorker:
             {"match": "NW@", "action": "crash",
              "once_flag": str(tmp_path / "crash-once")},
         )
+        monkeypatch.setattr(faults_mod, "BACKOFF_S", 0.01)
         clear_cache(disk=False)
-        ft = FaultTolerance(keep_going=True, retries=2, backoff_s=0.01)
+        ft = FaultTolerance(keep_going=True, retries=2)
         runner = ParallelRunner(jobs=2, cache=None, fault_tolerance=ft)
         results = runner.run(SPECS, config=FAST)
         assert all(r is not None for r in results)
@@ -317,8 +320,9 @@ class TestCrashedWorker:
         # then the serial fallback degrades it to a raised error (a failed
         # outcome), and the other specs still complete.
         set_plan(monkeypatch, {"match": "NW@", "action": "crash"})
+        monkeypatch.setattr(faults_mod, "BACKOFF_S", 0.01)
         clear_cache(disk=False)
-        ft = FaultTolerance(keep_going=True, retries=1, backoff_s=0.01)
+        ft = FaultTolerance(keep_going=True, retries=1)
         runner = ParallelRunner(jobs=2, cache=None, fault_tolerance=ft)
         results = runner.run(SPECS, config=FAST)
         assert runner.fell_back_serial
@@ -330,10 +334,9 @@ class TestCrashedWorker:
 class TestHungWorker:
     def test_hang_reaped_as_timed_out(self, monkeypatch):
         set_plan(monkeypatch, {"match": "NW@", "action": "hang", "hang_s": 120})
+        monkeypatch.setattr(faults_mod, "BACKOFF_S", 0.01)
         clear_cache(disk=False)
-        ft = FaultTolerance(
-            keep_going=True, retries=1, timeout_s=3.0, backoff_s=0.01
-        )
+        ft = FaultTolerance(keep_going=True, retries=1, timeout_s=3.0)
         runner = ParallelRunner(jobs=2, cache=None, fault_tolerance=ft)
         results = runner.run(SPECS, config=FAST)
         by_label = summarize_outcomes(ft.outcomes)
@@ -469,35 +472,38 @@ class TestCliRegen:
 class TestBackoffClamp:
     """Regression: the pool-rebuild backoff schedule is clamped.
 
-    ``backoff_s * 2**(attempt-1)`` used to grow without bound, so a
+    ``BACKOFF_S * 2**(attempt-1)`` used to grow without bound, so a
     generous ``retries`` budget meant a crashing worker could stall the
-    runner (and the experiment service's single drain thread) for minutes
-    between rebuilds.  ``max_backoff_s`` caps every single sleep.
+    runner for minutes between rebuilds.  ``MAX_BACKOFF_S`` caps every
+    single sleep.
     """
 
-    def test_exponential_then_clamped(self):
-        ft = FaultTolerance(backoff_s=0.05, max_backoff_s=0.2)
-        delays = [ft.backoff_delay(attempt) for attempt in range(1, 7)]
+    @staticmethod
+    def set_backoff(monkeypatch, base, cap):
+        monkeypatch.setattr(faults_mod, "BACKOFF_S", base)
+        monkeypatch.setattr(faults_mod, "MAX_BACKOFF_S", cap)
+
+    def test_exponential_then_clamped(self, monkeypatch):
+        self.set_backoff(monkeypatch, 0.05, 0.2)
+        delays = [backoff_delay(attempt) for attempt in range(1, 7)]
         assert delays == pytest.approx([0.05, 0.1, 0.2, 0.2, 0.2, 0.2])
 
     def test_deep_attempt_stays_bounded_at_default(self):
-        ft = FaultTolerance()
         # Pre-clamp, attempt 20 meant 0.05 * 2**19 ≈ 26214 seconds.
-        assert ft.backoff_delay(20) == ft.max_backoff_s == 2.0
-        assert all(ft.backoff_delay(a) <= 2.0 for a in range(1, 64))
+        assert backoff_delay(20) == faults_mod.MAX_BACKOFF_S == 2.0
+        assert all(backoff_delay(a) <= 2.0 for a in range(1, 64))
 
-    def test_cap_below_base_applies_immediately(self):
-        ft = FaultTolerance(backoff_s=1.0, max_backoff_s=0.01)
-        assert ft.backoff_delay(1) == pytest.approx(0.01)
+    def test_cap_below_base_applies_immediately(self, monkeypatch):
+        self.set_backoff(monkeypatch, 1.0, 0.01)
+        assert backoff_delay(1) == pytest.approx(0.01)
 
     def test_attempts_before_one_sleep_zero(self):
-        ft = FaultTolerance()
-        assert ft.backoff_delay(0) == 0.0
-        assert ft.backoff_delay(-3) == 0.0
+        assert backoff_delay(0) == 0.0
+        assert backoff_delay(-3) == 0.0
 
-    def test_zero_cap_disables_sleeping(self):
-        ft = FaultTolerance(backoff_s=0.5, max_backoff_s=0.0)
-        assert all(ft.backoff_delay(a) == 0.0 for a in range(1, 8))
+    def test_zero_cap_disables_sleeping(self, monkeypatch):
+        self.set_backoff(monkeypatch, 0.5, 0.0)
+        assert all(backoff_delay(a) == 0.0 for a in range(1, 8))
 
     def test_pool_rebuild_sleeps_are_clamped(self, monkeypatch, tmp_path):
         """The runner's actual sleeps respect the clamp under crash retries."""
@@ -512,8 +518,8 @@ class TestBackoffClamp:
             {"match": "STN@", "action": "crash",
              "once_flag": str(tmp_path / "crash-once")},
         )
-        ft = FaultTolerance(keep_going=True, retries=2,
-                            backoff_s=4.0, max_backoff_s=0.01)
+        self.set_backoff(monkeypatch, 4.0, 0.01)
+        ft = FaultTolerance(keep_going=True, retries=2)
         runner = ParallelRunner(jobs=2, cache=None, fault_tolerance=ft)
         runner.run([SPECS[0]], config=FAST)
         assert recorded, "a crashed worker must trigger a backoff sleep"

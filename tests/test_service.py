@@ -1,34 +1,17 @@
-"""The in-process experiment service (repro.service) end to end:
+"""What remains of the experiment service (repro.service), in isolation:
 
-* live submit -> poll -> stream against an in-process service;
-* warm resubmission of an already-cached batch reports
-  ``BatchStats.simulated == 0`` through the API;
-* a ``REPRO_FAULT_PLAN`` drill surfaces per-spec failure (and the job's
-  ``failed`` state) through the API instead of crashing the service;
-* kill + restart resumes the persisted queue without losing jobs or
-  re-running completed specs;
-* the job state machine, priority queue and the NDJSON event schema, each
-  in isolation.
+* the JSON wire format — spec parsing and rendering, config overrides,
+  and the NDJSON event schema with its validator;
+* the job state machine, the priority queue and the snapshot store.
 """
 
 from __future__ import annotations
 
-import json
-import threading
-import time
-
 import pytest
 
 from repro.errors import InvalidJobRequest, ServiceError, UnknownJob
-from repro.harness.experiment import RunSpec, execution_count, spec_label
-from repro.obs.bus import BusEvent, EventBus
-from repro.service import (
-    ExperimentService,
-    Job,
-    JobQueue,
-    JobStore,
-    ServiceConfig,
-)
+from repro.harness.experiment import RunSpec
+from repro.service import Job, JobQueue, JobStore
 from repro.service.wire import (
     config_from_overrides,
     load_event_schema,
@@ -39,101 +22,6 @@ from repro.service.wire import (
 )
 
 SPEC = {"app": "STN", "setup": "baseline", "oversubscription": 0.5, "scale": 0.25}
-SPEC2 = {"app": "NW", "setup": "baseline", "oversubscription": 0.5, "scale": 0.25}
-
-
-def wait_terminal(service, job_id, timeout_s=60.0):
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        view = service.status(job_id)
-        if view["state"] in ("done", "failed", "cancelled"):
-            return view
-        time.sleep(0.02)
-    raise AssertionError(f"job {job_id} not terminal after {timeout_s}s")
-
-
-@pytest.fixture
-def service(tmp_path):
-    svc = ExperimentService(ServiceConfig(state_dir=tmp_path / "state"))
-    svc.start()
-    yield svc
-    svc.stop()
-
-
-@pytest.fixture
-def idle_service(tmp_path):
-    """A service whose scheduler is *not* running (jobs stay queued)."""
-    svc = ExperimentService(ServiceConfig(state_dir=tmp_path / "state"))
-    yield svc
-    svc.stop()
-
-
-# --------------------------------------------------------------------------
-# EventBus
-# --------------------------------------------------------------------------
-
-
-class TestEventBus:
-    def test_sequence_is_monotonic_from_one(self):
-        bus = EventBus()
-        seqs = [bus.publish("k", {"i": i}).seq for i in range(5)]
-        assert seqs == [1, 2, 3, 4, 5]
-        assert bus.last_seq == 5
-
-    def test_events_since_is_exclusive(self):
-        bus = EventBus()
-        for i in range(4):
-            bus.publish("k", {"i": i})
-        assert [e.seq for e in bus.events_since(2)] == [3, 4]
-        assert bus.events_since(4) == []
-
-    def test_to_dict_reserved_keys_win(self):
-        event = BusEvent(seq=7, kind="real", payload={"seq": 0, "kind": "fake", "x": 1})
-        d = event.to_dict()
-        assert d["seq"] == 7 and d["kind"] == "real" and d["x"] == 1
-
-    def test_wait_since_blocks_until_publish(self):
-        bus = EventBus()
-        got = []
-
-        def reader():
-            events, _ = bus.wait_since(0, timeout=5.0)
-            got.extend(events)
-
-        t = threading.Thread(target=reader)
-        t.start()
-        time.sleep(0.05)
-        bus.publish("k", {})
-        t.join(5.0)
-        assert [e.seq for e in got] == [1]
-
-    def test_close_wakes_readers_and_rejects_publishes(self):
-        bus = EventBus()
-        results = {}
-
-        def reader():
-            results["ret"] = bus.wait_since(0)
-
-        t = threading.Thread(target=reader)
-        t.start()
-        time.sleep(0.05)
-        bus.close()
-        t.join(5.0)
-        assert results["ret"] == ([], True)
-        with pytest.raises(RuntimeError):
-            bus.publish("k", {})
-
-    def test_history_limit_drops_from_front(self):
-        bus = EventBus(history_limit=2)
-        for i in range(5):
-            bus.publish("k", {"i": i})
-        assert [e.seq for e in bus.events_since(0)] == [4, 5]
-        assert bus.dropped == 3
-        assert bus.last_seq == 5  # numbering keeps counting past drops
-
-    def test_history_limit_validated(self):
-        with pytest.raises(ValueError):
-            EventBus(history_limit=0)
 
 
 # --------------------------------------------------------------------------
@@ -338,227 +226,3 @@ class TestJobStore:
         names = sorted(p.name for p in store.directory.glob("*.json"))
         assert names == ["a.json", "b.json"]
         assert not list(store.directory.glob("*.tmp"))
-
-
-# --------------------------------------------------------------------------
-# Service end-to-end (in-process)
-# --------------------------------------------------------------------------
-
-
-class TestServiceLive:
-    def test_submit_poll_stream(self, service):
-        view = service.submit({"specs": [SPEC, SPEC2]})
-        job_id = view["job"]
-        assert view["state"] in ("queued", "running")
-        final = wait_terminal(service, job_id)
-        assert final["state"] == "done"
-        assert final["stats"]["simulated"] >= 1
-        assert final["stats"]["failed"] == 0
-        statuses = [entry["status"] for entry in final["specs"]]
-        assert statuses == ["ok", "ok"]
-        for entry in final["specs"]:
-            assert entry["result"]["total_cycles"] > 0
-            assert entry["result"]["workload"] == entry["spec"]["app"]
-
-        events = [e.to_dict() for e in service.events_bus(job_id).events_since(0)]
-        kinds = [e["kind"] for e in events]
-        assert kinds[0] == "queued" and kinds[-1] == "done"
-        assert "batch_stats" in kinds and "spec_outcome" in kinds
-        schema = load_event_schema()
-        assert [err for e in events for err in validate_event(e, schema)] == []
-
-    def test_warm_resubmission_simulates_nothing(self, service):
-        first = wait_terminal(service, service.submit({"specs": [SPEC]})["job"])
-        assert first["stats"]["simulated"] == 1
-        executed_before = execution_count()
-        second = wait_terminal(service, service.submit({"specs": [SPEC]})["job"])
-        assert second["state"] == "done"
-        assert second["stats"]["simulated"] == 0
-        assert second["stats"]["memo_hits"] + second["stats"]["cache_hits"] == 1
-        assert execution_count() == executed_before
-        # identical payloads either way
-        assert (second["specs"][0]["result"]["total_cycles"]
-                == first["specs"][0]["result"]["total_cycles"])
-
-    def test_fault_drill_surfaces_failed_through_api(self, service, monkeypatch):
-        label = spec_label(spec_from_dict(SPEC))
-        monkeypatch.setenv(
-            "REPRO_FAULT_PLAN",
-            json.dumps([{"match": label, "action": "raise",
-                         "message": "drill"}]),
-        )
-        view = service.submit({"specs": [SPEC, SPEC2]})
-        final = wait_terminal(service, view["job"])
-        assert final["state"] == "failed"
-        assert "1 of 2" in final["error"]
-        by_label = {e["label"]: e for e in final["specs"]}
-        assert by_label[label]["status"] == "failed"
-        assert "drill" in by_label[label]["error"]
-        assert by_label[label]["result"] is None
-        other = spec_label(spec_from_dict(SPEC2))
-        assert by_label[other]["status"] == "ok"
-        assert by_label[other]["result"] is not None
-        kinds = [e.kind for e in service.events_bus(view["job"]).events_since(0)]
-        assert kinds[-1] == "failed"
-
-    def test_duplicate_specs_collapse_to_one_simulation(self, service):
-        final = wait_terminal(service, service.submit({"specs": [SPEC, SPEC]})["job"])
-        assert final["state"] == "done"
-        assert final["stats"]["simulated"] == 1
-        results = [e["result"]["total_cycles"] for e in final["specs"]]
-        assert results[0] == results[1]
-
-    def test_config_overrides_affect_results_and_cache_key(self, service):
-        plain = wait_terminal(service, service.submit({"specs": [SPEC]})["job"])
-        small = wait_terminal(
-            service,
-            service.submit(
-                {"specs": [SPEC], "config": {"sm": {"num_sms": 2}}}
-            )["job"],
-        )
-        assert small["stats"]["simulated"] == 1  # different cache key
-        assert (small["specs"][0]["result"]["total_cycles"]
-                != plain["specs"][0]["result"]["total_cycles"])
-
-    def test_cancel_queued_job(self, idle_service):
-        view = idle_service.submit({"specs": [SPEC]})
-        cancelled = idle_service.cancel(view["job"])
-        assert cancelled["state"] == "cancelled"
-        assert cancelled["specs"][0]["status"] == "cancelled"
-        kinds = [e.kind for e in idle_service.events_bus(view["job"]).events_since(0)]
-        assert kinds == ["queued", "cancelled"]
-
-    def test_submission_validation(self, idle_service):
-        with pytest.raises(InvalidJobRequest):
-            idle_service.submit({"specs": []})
-        with pytest.raises(InvalidJobRequest):
-            idle_service.submit({"specs": [SPEC], "bogus": 1})
-        with pytest.raises(InvalidJobRequest):
-            idle_service.submit({"specs": [{**SPEC, "app": "NOPE"}]})
-        with pytest.raises(InvalidJobRequest):
-            idle_service.submit({"specs": [SPEC], "config": {"bogus": 1}})
-        with pytest.raises(InvalidJobRequest):
-            idle_service.submit({"specs": [SPEC], "priority": "high"})
-        with pytest.raises(UnknownJob):
-            idle_service.status("b-nope")
-        with pytest.raises(UnknownJob):
-            idle_service.events_bus("b-nope")
-
-    def test_priority_order_drained_high_first(self, tmp_path):
-        svc = ExperimentService(ServiceConfig(state_dir=tmp_path / "state"))
-        low = svc.submit({"specs": [SPEC], "priority": 0})["job"]
-        high = svc.submit({"specs": [SPEC2], "priority": 9})["job"]
-        svc.start()
-        wait_terminal(svc, low)
-        wait_terminal(svc, high)
-        assert (svc.store.get(high).started_ts
-                <= svc.store.get(low).started_ts)
-        svc.stop()
-
-
-class TestRestartResume:
-    def test_restart_resumes_queued_jobs(self, tmp_path):
-        state = tmp_path / "state"
-        svc1 = ExperimentService(ServiceConfig(state_dir=state))
-        job_id = svc1.submit({"specs": [SPEC]})["job"]
-        svc1.stop()  # killed before the scheduler ever ran
-
-        svc2 = ExperimentService(ServiceConfig(state_dir=state))
-        pending = svc2.resume()
-        assert [j.job_id for j in pending] == [job_id]
-        svc2.start()
-        final = wait_terminal(svc2, job_id)
-        assert final["state"] == "done"
-        svc2.stop()
-
-    def test_snapshot_with_retired_instances_field_resumes(self, tmp_path):
-        # The exact snapshot JobStore.save wrote while RunSpec still had an
-        # ``instances`` field: every spec carries ``"instances": 1``.
-        state = tmp_path / "state"
-        snapshot = {
-            "attempts": 0,
-            "created_ts": 0.0,
-            "enqueue_seq": 0,
-            "error": None,
-            "finished_ts": None,
-            "job_id": "b-legacy",
-            "outcomes": [],
-            "overrides": None,
-            "priority": 0,
-            "results": [],
-            "specs": [{**SPEC, "crash_budget_factor": None, "instances": 1,
-                       "seed": None}],
-            "started_ts": None,
-            "state": "queued",
-            "stats": None,
-            "tenant": "default",
-            "version": 1,
-        }
-        path = JobStore(state).directory / "b-legacy.json"
-        path.write_text(json.dumps(snapshot, indent=2, sort_keys=True),
-                        encoding="utf-8")
-
-        svc = ExperimentService(ServiceConfig(state_dir=state))
-        pending = svc.resume()
-        assert [j.job_id for j in pending] == ["b-legacy"]
-        assert pending[0].specs == [spec_from_dict(SPEC)]
-        svc.start()
-        final = wait_terminal(svc, "b-legacy")
-        assert final["state"] == "done"
-        assert "instances" not in final["specs"][0]["spec"]
-        svc.stop()
-
-    def test_restart_does_not_rerun_completed_specs(self, tmp_path):
-        state = tmp_path / "state"
-        svc1 = ExperimentService(ServiceConfig(state_dir=state))
-        svc1.start()
-        done_id = svc1.submit({"specs": [SPEC]})["job"]
-        wait_terminal(svc1, done_id)
-        svc1.stop()
-
-        executed = execution_count()
-        svc2 = ExperimentService(ServiceConfig(state_dir=state))
-        assert svc2.resume() == []  # terminal jobs are not re-queued
-        svc2.start()
-        view = svc2.status(done_id)
-        assert view["state"] == "done"
-        assert view["specs"][0]["result"]["total_cycles"] > 0
-        assert execution_count() == executed  # nothing re-ran
-        svc2.stop()
-
-    def test_mid_run_crash_requeues_and_finishes(self, tmp_path):
-        state = tmp_path / "state"
-        # Fake a service that died mid-drain: snapshot says "running".
-        store = JobStore(state)
-        job = make_job("b-interrupted")
-        job.transition("running")
-        store.save(job)
-
-        svc = ExperimentService(ServiceConfig(state_dir=state))
-        pending = svc.resume()
-        assert [j.job_id for j in pending] == ["b-interrupted"]
-        svc.start()
-        final = wait_terminal(svc, "b-interrupted")
-        assert final["state"] == "done"
-        assert final["attempts"] == 2  # first life + the resumed one
-        svc.stop()
-
-    def test_terminal_job_events_replayed_after_restart(self, tmp_path):
-        state = tmp_path / "state"
-        svc1 = ExperimentService(ServiceConfig(state_dir=state))
-        svc1.start()
-        job_id = svc1.submit({"specs": [SPEC]})["job"]
-        wait_terminal(svc1, job_id)
-        svc1.stop()
-
-        svc2 = ExperimentService(ServiceConfig(state_dir=state))
-        svc2.resume()
-        bus = svc2.events_bus(job_id)
-        events = [e.to_dict() for e in bus.events_since(0)]
-        assert bus.closed
-        kinds = [e["kind"] for e in events]
-        assert kinds[0] == "queued" and kinds[-1] == "done"
-        assert all(e.get("resumed") is True for e in events)
-        schema = load_event_schema()
-        assert [err for e in events for err in validate_event(e, schema)] == []
-        svc2.stop()

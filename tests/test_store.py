@@ -160,3 +160,16 @@ class TestDocgen:
         assert text.startswith("# EXPERIMENTS \u2014 paper-reported vs measured")
         assert "## fig3" in text
         assert list(tmp_path.glob("*.tmp")) == []
+
+    @pytest.mark.parametrize(
+        "flags,option",
+        [(["--retries", "-1"], "--retries"), (["--timeout-s", "0"], "--timeout-s")],
+    )
+    def test_main_rejects_bad_fault_flags(self, tmp_path, capsys, flags, option):
+        from repro.harness.docgen import main
+
+        out = tmp_path / "EXP.md"
+        assert main([str(out), "--only", "fig3", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and option in err
+        assert not out.exists()
